@@ -12,6 +12,7 @@ non-covering pair of its regular poset.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,13 +32,20 @@ from .permutations import (
     mult_s_left,
     weak_interval,
 )
-from .posets import COMPARABLE_NONCOVERING, classify_pair, interval_to_poset, sigma_L_interval
+from .posets import (
+    COMPARABLE_NONCOVERING,
+    classify_pair,
+    hasse_isos,
+    interval_to_poset,
+    sigma_L_interval,
+)
 
 __all__ = [
     "EquivClass",
     "BijectionReport",
     "one_step_moves",
     "equiv_class",
+    "dp_isos",
     "dp_iso_exists",
     "dp_iso_find",
     "class_tableau_bijection",
@@ -135,82 +143,51 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     return EquivClass(I.n, members, xi, hasse, min_index, max_index)
 
 
-def _interval_profile(I: WeakInterval):
+def _dp_colours(I: WeakInterval) -> dict[Perm, tuple[int, frozenset[int]]]:
     base = length(I.lo)
-    return sorted(
-        (length(g) - base, tuple(sorted(descents(g, LEFT)))) for g in I.elements
-    )
+    return {g: (length(g) - base, descents(g, LEFT)) for g in I.elements}
 
 
-def _iso_candidates(I: WeakInterval, J: WeakInterval) -> Iterator[dict[Perm, Perm]]:
-    """Backtracking search for descent-preserving poset isomorphisms.
+def _dp_hasse(I: WeakInterval, colours: dict) -> dict:
+    """The Hasse diagram of I coloured by (rank, Des_L), with no edge colour.
 
-    Elements are matched rank by rank; a partial map survives when the
-    lower covers of the new element map exactly onto the lower covers of
-    its image.
+    The lower covers of g in the left order are the s_i g, i in Des_L(g).
     """
-    elems_I = sorted(I.elements, key=length)
-    elems_J = set(J.elements)
-    base_I, base_J = length(I.lo), length(J.lo)
-
-    def fingerprint(g: Perm, base: int):
-        return (length(g) - base, descents(g, LEFT))
-
-    targets: dict[tuple[int, frozenset[int]], list[Perm]] = {}
-    for h in elems_J:
-        targets.setdefault(fingerprint(h, base_J), []).append(h)
-
-    def lower_covers(g: Perm, members: set[Perm]) -> frozenset[Perm]:
-        lg = length(g)
-        return frozenset(
-            h
-            for i in descents(g, LEFT)
-            if (h := mult_s_left(g, i)) in members and length(h) == lg - 1
-        )
-
-    members_I = set(I.elements)
-    covers_I = {g: lower_covers(g, members_I) for g in elems_I}
-    covers_J = {h: lower_covers(h, elems_J) for h in elems_J}
-
-    mapping: dict[Perm, Perm] = {}
-    used: set[Perm] = set()
-
-    def extend(k: int) -> Iterator[dict[Perm, Perm]]:
-        if k == len(elems_I):
-            yield dict(mapping)
-            return
-        g = elems_I[k]
-        want = frozenset(mapping[c] for c in covers_I[g])
-        for h in targets.get(fingerprint(g, base_I), []):
-            if h in used or covers_J[h] != want:
-                continue
-            mapping[g] = h
-            used.add(h)
-            yield from extend(k + 1)
-            del mapping[g]
-            used.remove(h)
-
-    yield from extend(0)
+    members = set(I.elements)
+    diagram = {}
+    for g, colour in colours.items():
+        below = (mult_s_left(g, i) for i in colour[1])
+        diagram[g] = (colour, frozenset((h, None) for h in below if h in members))
+    return diagram
 
 
-def _check_iso_caps(I: WeakInterval, J: WeakInterval, cap: int | None) -> bool:
+def dp_isos(
+    I: WeakInterval, J: WeakInterval, cap: int | None = None
+) -> Iterator[dict[Perm, Perm]]:
+    """Every descent-preserving poset isomorphism I -> J.
+
+    Raises ResourceCapError when either interval has more than ``cap``
+    elements (default 60).
+    """
     cap = resolve_cap(cap, DP_ISO_CAP)
     if I.size > cap or J.size > cap:
         raise ResourceCapError(
             f"interval size {max(I.size, J.size)} exceeds oracle cap {cap}"
         )
     if I.n != J.n or I.size != J.size:
-        return False
-    return _interval_profile(I) == _interval_profile(J)
+        return
+    colours_I, colours_J = _dp_colours(I), _dp_colours(J)
+    # Reject on the colour multiset before building covers, which cost more.
+    if Counter(colours_I.values()) != Counter(colours_J.values()):
+        return
+    yield from hasse_isos(_dp_hasse(I, colours_I), _dp_hasse(J, colours_J))
 
 
 def dp_iso_find(
     I: WeakInterval, J: WeakInterval, cap: int | None = None
 ) -> dict[Perm, Perm] | None:
     """A descent-preserving poset isomorphism I -> J, or None."""
-    if not _check_iso_caps(I, J, cap):
-        return None
-    return next(_iso_candidates(I, J), None)
+    return next(dp_isos(I, J, cap), None)
 
 
 def dp_iso_exists(I: WeakInterval, J: WeakInterval, cap: int | None = None) -> bool:
@@ -240,8 +217,8 @@ def class_tableau_bijection(C: EquivClass, D: Diagram) -> BijectionReport:
     """Verify that T -> Sigma_L(P_{T^x}) is an order isomorphism from
     (ST(D^x), <=) onto (C, <=), returning the explicit pairing.
 
-    The pairwise order comparison uses inversion-set bitmasks, which
-    agree with the length-additivity order test.
+    The pairwise order comparison tests inversion-set containment on
+    masks computed once per tableau and member.
     """
     tableaux = enumerate_ST(reflect(D, "x_axis"))
     if len(tableaux) != C.size:

@@ -46,8 +46,11 @@ def parse_alpha(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    return validate_composition(int(p) for p in parts)
+    try:
+        parts = [int(p) for p in text.replace(" ", "").split(",") if p]
+    except ValueError:
+        raise DomainError(f"not a composition: {text!r}") from None
+    return validate_composition(parts)
 
 
 def format_alpha(alpha) -> str:
@@ -224,7 +227,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hasse(args) -> int:
     if args.cells is not None:
-        D = Diagram(frozenset(tuple(c) for c in json.loads(args.cells)))
+        try:
+            cells = frozenset(tuple(c) for c in json.loads(args.cells))
+        except (ValueError, TypeError):
+            raise DomainError(f"--cells is not a JSON list of cells: {args.cells!r}") from None
+        D = Diagram(cells)
         tabs = enumerate_ST(D)
         lines = ["digraph hasse {"]
         words = [format_perm(reading(T, "TBLR")) for T in tabs]

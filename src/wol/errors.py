@@ -56,5 +56,8 @@ def resolve_cap(explicit: int | None, default: int) -> int:
         return explicit
     override = os.environ.get("WOL_NMAX_OVERRIDE")
     if override is not None:
-        return max(default, int(override))
+        try:
+            return max(default, int(override))
+        except ValueError:
+            raise DomainError(f"WOL_NMAX_OVERRIDE must be an integer, got {override!r}") from None
     return default

@@ -26,7 +26,7 @@ from .compositions import (
     subset_transpose,
     validate_composition,
 )
-from .classes import _iso_candidates, _check_iso_caps
+from .classes import dp_isos
 from .descent_diagrams import build_D_S_rho, build_D_sigma_S, family_diagram
 from .diagrams import (
     Diagram,
@@ -280,13 +280,14 @@ def intertwiner_from_dp_iso(
     I: WeakInterval, J: WeakInterval, cap: int | None = None
 ) -> dict[Perm, Perm] | None:
     """A descent-preserving isomorphism I -> J whose basis bijection
-    intertwines B(I) and B(J), or None when none exists."""
-    if not _check_iso_caps(I, J, cap):
-        return None
-    MI, MJ = module_B(I), module_B(J)
-    index_I = {g: k for k, g in enumerate(MI.basis)}
-    index_J = {g: k for k, g in enumerate(MJ.basis)}
-    for mapping in _iso_candidates(I, J):
+    intertwines B(I) and B(J), or None when none exists.  The modules are
+    built only once a first isomorphism is found."""
+    MI = None
+    for mapping in dp_isos(I, J, cap):
+        if MI is None:
+            MI, MJ = module_B(I), module_B(J)
+            index_I = {g: k for k, g in enumerate(MI.basis)}
+            index_J = {g: k for k, g in enumerate(MJ.basis)}
         pairing = [(index_I[g], index_J[h]) for g, h in mapping.items()]
         phi = np.zeros((MI.dim, MI.dim), dtype=np.int64)
         for a, b in pairing:

@@ -130,24 +130,22 @@ def length(u: Perm) -> int:
     >>> length((2, 3, 1, 5, 6, 4))
     4
     """
-    n = len(u)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
+    return inv_mask(u).bit_count()
 
 
 def inv_mask(u: Perm) -> int:
     """Bitmask of position-inversion pairs of the window.
 
-    Bit for (i, j), i < j, is set when u(i) > u(j).  Containment of these
-    masks is the left weak order: u <=_L v iff inv_mask(u) is a subset of
-    inv_mask(v); on inverses it gives the right order.  Used as a fast
-    path for bulk comparisons; agrees with :func:`weak_leq`.
+    Bit for (i, j), i < j, is set when u(i) > u(j).  This is the one
+    inversion-set kernel: :func:`length` is its popcount and
+    :func:`weak_leq` is mask containment, u <=_L v iff inv_mask(u) is a
+    subset of inv_mask(v); on inverses it gives the right order.
     """
-    n = len(u)
     mask = 0
     bit = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] > u[j]:
+    for i, x in enumerate(u, 1):
+        for y in u[i:]:
+            if x > y:
                 mask |= 1 << bit
             bit += 1
     return mask
@@ -229,9 +227,10 @@ def w1(T: Iterable[int], n: int) -> Perm:
 
 
 def weak_leq(u: Perm, v: Perm, side: Side) -> bool:
-    """Weak Bruhat order test via length additivity.
+    """Weak Bruhat order test by inversion-set containment.
 
-    Right order: l(u) + l(u^-1 v) = l(v); left order uses v u^-1.
+    Left order: inv_mask(u) is a subset of inv_mask(v); the right order
+    applies the same test to the inverses.
 
     >>> weak_leq((1, 3, 2, 4, 6, 5), (2, 3, 1, 5, 6, 4), "L")
     True
@@ -242,10 +241,8 @@ def weak_leq(u: Perm, v: Perm, side: Side) -> bool:
     if len(u) != len(v):
         raise DomainError(f"size mismatch: {len(u)} vs {len(v)}")
     if side == RIGHT:
-        quot = compose(inverse(u), v)
-    else:
-        quot = compose(v, inverse(u))
-    return length(u) + length(quot) == length(v)
+        u, v = inverse(u), inverse(v)
+    return inv_mask(u) & ~inv_mask(v) == 0
 
 
 def covers_up(u: Perm, side: Side) -> list[tuple[int, Perm]]:
@@ -373,10 +370,10 @@ def parse_perm(text: str) -> Perm:
     (2, 3, 1, 5, 6, 4)
     """
     text = text.strip()
-    if "," in text:
-        w = tuple(int(part) for part in text.split(","))
-    else:
-        w = tuple(int(ch) for ch in text)
+    try:
+        w = tuple(int(part) for part in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise DomainError(f"not a permutation: {text!r}") from None
     return validate_perm(w)
 
 
@@ -397,4 +394,7 @@ def parse_subset(text: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(part) for part in text.split(","))
+    try:
+        return frozenset(int(part) for part in text.split(","))
+    except ValueError:
+        raise DomainError(f"not a generator subset: {text!r}") from None

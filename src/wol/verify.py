@@ -9,15 +9,18 @@ with the sizes fixed by the project contract.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import chain, combinations
+from math import factorial
 from typing import Callable, Iterator
 
 from . import hecke, tableaux
-from .classes import dp_iso_exists, equiv_class, one_step_moves
-from .compositions import all_compositions, is_peak, set_of
+from .classes import class_tableau_bijection, dp_iso_exists, equiv_class, one_step_moves
+from .compositions import all_compositions, is_peak, reverse, set_of, subset_reverse
 from .descent_diagrams import (
     build_D_S_rho,
     build_D_sigma_S,
+    family_diagram,
     lower_minmax,
     upper_minmax,
 )
@@ -30,10 +33,12 @@ from .diagrams import (
     hecke_star,
     is_free_upper_right,
     poset_of_filling,
+    profiles,
     reading,
     reflect,
     tableau_T,
 )
+from .errors import ResourceCapError
 from .permutations import (
     LEFT,
     RIGHT,
@@ -62,6 +67,7 @@ from .posets import (
     bar,
     classify_pair,
     extremes_of_regular,
+    hasse_isos,
     interval_to_poset,
     is_regular,
     linear_extensions_L,
@@ -95,62 +101,46 @@ def edge_decorated_covers(P: Poset) -> frozenset[tuple[int, int, bool]]:
 def decorated_iso_exists(P: Poset, Q: Poset) -> bool:
     """Isomorphism of posets carrying strict edges to strict edges and
     weak to weak (labels otherwise forgotten)."""
+
+    def colours(R: Poset) -> dict[int, tuple[int, int]]:
+        return {x: (len(R.down_set(x)), len(R.up_set(x))) for x in range(1, R.n + 1)}
+
+    def hasse(R: Poset, colour: dict) -> dict:
+        below: dict[int, set] = {x: set() for x in colour}
+        for a, b, strict in edge_decorated_covers(R):
+            below[b].add((a, strict))
+        return {x: (colour[x], frozenset(below[x])) for x in colour}
+
     if P.n != Q.n:
         return False
-    covers_p = P.covers()
-    covers_q = Q.covers()
-    if len(covers_p) != len(covers_q):
+    colours_P, colours_Q = colours(P), colours(Q)
+    if Counter(colours_P.values()) != Counter(colours_Q.values()):
         return False
+    return next(hasse_isos(hasse(P, colours_P), hasse(Q, colours_Q)), None) is not None
 
-    def profile(poset: Poset, covers, x: int):
-        up = [(y, x > y) for a, y in covers if a == x]
-        down = [(a, a > x) for a, y in covers if y == x]
-        return (
-            len(poset.down_set(x)),
-            len(poset.up_set(x)),
-            sorted(s for _, s in up),
-            sorted(s for _, s in down),
-        )
 
-    prof_p = {x: profile(P, covers_p, x) for x in range(1, P.n + 1)}
-    prof_q = {x: profile(Q, covers_q, x) for x in range(1, Q.n + 1)}
-    if sorted(map(str, prof_p.values())) != sorted(map(str, prof_q.values())):
-        return False
-    order = sorted(range(1, P.n + 1), key=lambda x: len(P.down_set(x)))
-    strict_p = {(a, b): a > b for a, b in covers_p}
-    strict_q = {(a, b): a > b for a, b in covers_q}
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+def lower_descent_intervals(n: int) -> Iterator[tuple[frozenset[int], Perm]]:
+    """The pairs (S, rho) with w_0(S) <=_L rho: lower descent intervals of S_n."""
+    for S in subsets(list(range(1, n))):
+        w0S = longest_parabolic(S, n)
+        for rho in all_perms(n):
+            if weak_leq(w0S, rho, LEFT):
+                yield S, rho
 
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        x = order[k]
-        below = [(a, strict_p[(a, x)]) for a, b in covers_p if b == x]
-        for y in range(1, Q.n + 1):
-            if y in used or prof_q[y] != prof_p[x]:
-                continue
-            want = {(mapping[a], s) for a, s in below if a in mapping}
-            have = {
-                (a, strict_q[(a, y)])
-                for a, b in covers_q
-                if b == y and a in mapping.values()
-            }
-            if want != have:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(k + 1):
-                return True
-            del mapping[x]
-            used.remove(y)
-        return False
 
-    if not extend(0):
-        return False
-    # A cover-preserving bijection between posets with equal cover counts
-    # and matched down-set sizes is an isomorphism.
-    return True
+def upper_descent_intervals(n: int) -> Iterator[tuple[Perm, frozenset[int]]]:
+    """The pairs (sigma, S) with sigma <=_L w_1(S): upper descent intervals of S_n."""
+    for S in subsets(list(range(1, n))):
+        top = w1(S, n)
+        for sigma in all_perms(n):
+            if weak_leq(sigma, top, LEFT):
+                yield sigma, S
+
+
+def random_left_interval(rng: random.Random, perms: list[Perm]) -> WeakInterval:
+    """A left interval [lo, hi]: lo uniform in perms, hi uniform above lo."""
+    lo = rng.choice(perms)
+    return weak_interval(lo, rng.choice([v for v in perms if weak_leq(lo, v, LEFT)]), LEFT)
 
 
 def random_diagrams(count: int, max_cells: int, seed: int) -> list[Diagram]:
@@ -209,7 +199,7 @@ def check_weak_order_oracle(nmax: int, seed: int) -> tuple[bool, str]:
                 for v in perms:
                     if weak_leq(u, v, side) != (v in reachable(u)):
                         return False, f"weak_leq oracle fails at {u}, {v}, {side}"
-    return True, "length-additivity test matches cover reachability"
+    return True, "inversion-set containment matches cover reachability"
 
 
 def check_w0_w1_identities(nmax: int, seed: int) -> tuple[bool, str]:
@@ -272,14 +262,11 @@ def check_interval_closure(nmax: int, seed: int) -> tuple[bool, str]:
     n = min(nmax, 6)
     perms = list(all_perms(n))
     for _ in range(50):
-        lo = rng.choice(perms)
-        ups = [v for v in perms if weak_leq(lo, v, LEFT)]
-        hi = rng.choice(ups)
-        I = weak_interval(lo, hi, LEFT)
+        I = random_left_interval(rng, perms)
         members = set(I.elements)
         for g in members:
             for i, h in covers_up(g, LEFT):
-                if weak_leq(h, hi, LEFT) and h not in members:
+                if weak_leq(h, I.hi, LEFT) and h not in members:
                     return False, f"interval not closed at {g} -> {h}"
     return True, "interval element sets are closed under in-range covers"
 
@@ -390,15 +377,12 @@ def check_two_kinds(nmax: int, seed: int) -> tuple[bool, str]:
             return False, f"down interval readings fail on {D}"
         if (right.lo, right.hi) != (reading(tprime, "LRTB"), reading(t, "LRTB")):
             return False, f"right interval readings fail on {D}"
-        from .compositions import set_of as _set_of
-        from .diagrams import profiles
-
         r_prof, c_prof = profiles(D)
         n = D.n
-        if reading(t, "LRTB") != w1(_set_of(r_prof), n):
+        if reading(t, "LRTB") != w1(set_of(r_prof), n):
             return False, f"LRTB(T_D) != w1(set(r(D))) on {D}"
         if reading(tprime, "TBLR") != longest_parabolic(
-            frozenset(range(1, n)) - _set_of(c_prof), n
+            frozenset(range(1, n)) - set_of(c_prof), n
         ):
             return False, f"TBLR(T'_D) != w0(set(c(D))^c) on {D}"
     return True, "canonical fillings give the stated descent intervals"
@@ -439,8 +423,6 @@ def check_fill_ne(nmax: int, seed: int) -> tuple[bool, str]:
 
 
 def check_star_action_relations(nmax: int, seed: int) -> tuple[bool, str]:
-    from .errors import ResourceCapError
-
     for D in random_diagrams(25, 8, seed):
         Dx = reflect(D, "x_axis")
         try:
@@ -480,25 +462,16 @@ def _star_word(T, word):
 
 def check_descent_diagram_invariants(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(1, min(nmax, 5) + 1):
-        for S in subsets(list(range(1, n))):
-            w0S = longest_parabolic(S, n)
-            for rho in all_perms(n):
-                if not weak_leq(w0S, rho, LEFT):
-                    continue
-                D = build_D_S_rho(S, rho)
-                got = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
-                if (got.lo, got.hi) != (w0S, rho):
-                    return False, f"F_down interval wrong for ({sorted(S)}, {rho})"
-            top = w1(S, n)
-            for sigma in all_perms(n):
-                if not weak_leq(sigma, top, LEFT):
-                    continue
-                ud = build_D_sigma_S(sigma, S)
-                got = sigma_L_interval(
-                    poset_of_filling(canonical_fill(ud.diagram, "right"))
-                )
-                if (got.lo, got.hi) != (sigma, top):
-                    return False, f"F_right interval wrong for ({sigma}, {sorted(S)})"
+        for S, rho in lower_descent_intervals(n):
+            D = build_D_S_rho(S, rho)
+            got = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
+            if (got.lo, got.hi) != (longest_parabolic(S, n), rho):
+                return False, f"F_down interval wrong for ({sorted(S)}, {rho})"
+        for sigma, S in upper_descent_intervals(n):
+            ud = build_D_sigma_S(sigma, S)
+            got = sigma_L_interval(poset_of_filling(canonical_fill(ud.diagram, "right")))
+            if (got.lo, got.hi) != (sigma, w1(S, n)):
+                return False, f"F_right interval wrong for ({sigma}, {sorted(S)})"
     return True, "descent diagrams realize their intervals"
 
 
@@ -543,50 +516,40 @@ def check_class_oracle(nmax: int, seed: int, samples: int = 500) -> tuple[bool, 
             same = (b.lo, b.hi) in {
                 (J.lo, J.hi) for J in equiv_class(a).members
             }
-            if dp_iso_exists(a, b) != same:
+            if dp_iso_exists(a, b, cap=factorial(5)) != same:
                 return False, f"sampled oracle disagrees at {a}, {b}"
     return True, "class membership coincides with descent-preserving isomorphism"
 
 
 def check_class_structure(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(1, min(nmax, 5) + 1):
-        for S in subsets(list(range(1, n))):
-            w0S = longest_parabolic(S, n)
-            for rho in all_perms(n):
-                if not weak_leq(w0S, rho, LEFT):
-                    continue
-                I = weak_interval(w0S, rho, LEFT)
-                C = equiv_class(I)
-                if (C.min.lo, C.min.hi) != (w0S, rho):
-                    return False, f"min C is not the lower interval at {I}"
-                lowers = [
-                    J
-                    for J in C.members
-                    if any(
-                        J.lo == longest_parabolic(T, n)
-                        for T in subsets(list(range(1, n)))
-                    )
-                ]
-                if len(lowers) != 1:
-                    return False, f"lower descent interval not unique in C({I})"
-                lo2, hi2 = lower_minmax(S, rho)
-                if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
-                    return False, f"lower_minmax min mismatch at {I}"
-                if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
-                    return False, f"lower_minmax max mismatch at {I}"
-            top = w1(S, n)
-            for sigma in all_perms(n):
-                if not weak_leq(sigma, top, LEFT):
-                    continue
-                I = weak_interval(sigma, top, LEFT)
-                C = equiv_class(I)
-                if (C.max.lo, C.max.hi) != (sigma, top):
-                    return False, f"max C is not the upper interval at {I}"
-                lo2, hi2 = upper_minmax(sigma, S)
-                if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
-                    return False, f"upper_minmax min mismatch at {I}"
-                if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
-                    return False, f"upper_minmax max mismatch at {I}"
+        for S, rho in lower_descent_intervals(n):
+            I = weak_interval(longest_parabolic(S, n), rho, LEFT)
+            C = equiv_class(I)
+            if (C.min.lo, C.min.hi) != (I.lo, I.hi):
+                return False, f"min C is not the lower interval at {I}"
+            lowers = [
+                J
+                for J in C.members
+                if any(J.lo == longest_parabolic(T, n) for T in subsets(list(range(1, n))))
+            ]
+            if len(lowers) != 1:
+                return False, f"lower descent interval not unique in C({I})"
+            lo2, hi2 = lower_minmax(S, rho)
+            if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
+                return False, f"lower_minmax min mismatch at {I}"
+            if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
+                return False, f"lower_minmax max mismatch at {I}"
+        for sigma, S in upper_descent_intervals(n):
+            I = weak_interval(sigma, w1(S, n), LEFT)
+            C = equiv_class(I)
+            if (C.max.lo, C.max.hi) != (I.lo, I.hi):
+                return False, f"max C is not the upper interval at {I}"
+            lo2, hi2 = upper_minmax(sigma, S)
+            if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
+                return False, f"upper_minmax min mismatch at {I}"
+            if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
+                return False, f"upper_minmax max mismatch at {I}"
     return True, "lower/upper classes have the stated extremes"
 
 
@@ -595,9 +558,7 @@ def check_move_preserves_descents(nmax: int, seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     perms = list(all_perms(n))
     for _ in range(60):
-        lo = rng.choice(perms)
-        ups = [v for v in perms if weak_leq(lo, v, LEFT)]
-        I = weak_interval(lo, rng.choice(ups), LEFT)
+        I = random_left_interval(rng, perms)
         for i, J in one_step_moves(I):
             for g in I.elements:
                 if descents(g, LEFT) != descents(mult_s_right(g, i), LEFT):
@@ -637,8 +598,6 @@ def check_family_vs_bfs(nmax: int, seed: int) -> tuple[bool, str]:
 
 
 def check_family_freeness(nmax: int, seed: int) -> tuple[bool, str]:
-    from .descent_diagrams import family_diagram
-
     for n in range(1, min(nmax, 7) + 1):
         for alpha in all_compositions(n):
             for kind in ("P", "V", "X", "Shat"):
@@ -685,30 +644,21 @@ def check_twisted_translates(nmax: int, seed: int) -> tuple[bool, str]:
 
 
 def check_tableau_bijection_sweep(nmax: int, seed: int) -> tuple[bool, str]:
-    from .classes import class_tableau_bijection
-
     for n in range(1, min(nmax, 5) + 1):
-        for S in subsets(list(range(1, n))):
-            w0S = longest_parabolic(S, n)
-            for rho in all_perms(n):
-                if not weak_leq(w0S, rho, LEFT):
-                    continue
-                D = build_D_S_rho(S, rho)
-                if not is_free_upper_right(D):
-                    continue
-                C = equiv_class(weak_interval(w0S, rho, LEFT))
-                if not class_tableau_bijection(C, D):
-                    return False, f"bijection fails for ({sorted(S)}, {rho})"
-            top = w1(S, n)
-            for sigma in all_perms(n):
-                if not weak_leq(sigma, top, LEFT):
-                    continue
-                ud = build_D_sigma_S(sigma, S)
-                if not is_free_upper_right(ud.diagram):
-                    continue
-                C = equiv_class(weak_interval(sigma, top, LEFT))
-                if not class_tableau_bijection(C, ud.diagram):
-                    return False, f"bijection fails for ({sigma}, {sorted(S)})"
+        for S, rho in lower_descent_intervals(n):
+            D = build_D_S_rho(S, rho)
+            if not is_free_upper_right(D):
+                continue
+            C = equiv_class(weak_interval(longest_parabolic(S, n), rho, LEFT))
+            if not class_tableau_bijection(C, D):
+                return False, f"bijection fails for ({sorted(S)}, {rho})"
+        for sigma, S in upper_descent_intervals(n):
+            ud = build_D_sigma_S(sigma, S)
+            if not is_free_upper_right(ud.diagram):
+                continue
+            C = equiv_class(weak_interval(sigma, w1(S, n), LEFT))
+            if not class_tableau_bijection(C, ud.diagram):
+                return False, f"bijection fails for ({sigma}, {sorted(S)})"
     return True, "free-diagram classes match their standard tableaux"
 
 
@@ -747,8 +697,6 @@ def check_one_dimensional_action(nmax: int, seed: int) -> tuple[bool, str]:
 
 
 def check_dimension_audits(nmax: int, seed: int) -> tuple[bool, str]:
-    from .compositions import reverse, subset_reverse
-
     for n in range(1, min(nmax, 6) + 1):
         for alpha in all_compositions(n):
             s_comp = frozenset(range(1, n)) - set_of(alpha)
@@ -802,9 +750,7 @@ def check_intertwiner_ladder(nmax: int, seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     perms = list(all_perms(n))
     for _ in range(20):
-        lo = rng.choice(perms)
-        ups = [v for v in perms if weak_leq(lo, v, LEFT)]
-        I = weak_interval(lo, rng.choice(ups), LEFT)
+        I = random_left_interval(rng, perms)
         for i, J in one_step_moves(I):
             mapping = hecke.intertwiner_from_dp_iso(I, J)
             if mapping is None:

@@ -95,6 +95,24 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["class", "--lo", "12x", "--hi", "123"], None),
+        (["family", "--kind", "Q", "--alpha", "(a,2)"], None),
+        (["hasse", "--cells", "[[1,1"], None),
+        (["class", "--lo", "132456", "--hi", "142563"], "abc"),
+    ],
+    ids=["perm", "alpha", "cells", "nmax-override"],
+)
+def test_malformed_input_is_domain_error(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("WOL_NMAX_OVERRIDE", env)
+    code, out, err = capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_resource_error_exit_code(capsys):
     code, out, err = capture(
         ["class", "--lo", "132456", "--hi", "142563", "--cap", "2"], capsys

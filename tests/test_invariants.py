@@ -33,6 +33,7 @@ from wol.permutations import (
     weak_leq,
 )
 from wol.verify import (
+    check_class_oracle,
     check_descent_diagram_invariants,
     check_relabel_classification,
     random_diagrams,
@@ -142,6 +143,12 @@ def test_lower_max_reading_formula_when_free():
 
 def test_relabel_classification_full_n5():
     ok, detail = check_relabel_classification(5, 0)
+    assert ok, detail
+
+
+def test_class_oracle_samples_whole_s5():
+    # Seed 101 samples S5 intervals larger than the default iso cap of 60.
+    ok, detail = check_class_oracle(5, 101)
     assert ok, detail
 
 

@@ -16,7 +16,6 @@ from wol.permutations import (
     format_perm,
     format_subset,
     identity,
-    inv_mask,
     inverse,
     length,
     longest_element,
@@ -146,14 +145,24 @@ def test_weak_leq_matches_cover_reachability(n, side):
             assert weak_leq(u, v, side) == (v in reachable(u))
 
 
-@given(perms, perms)
-def test_inv_mask_containment_is_left_order(u, v):
-    if len(u) != len(v):
-        return
-    assert weak_leq(u, v, LEFT) == (inv_mask(u) & ~inv_mask(v) == 0)
-    assert weak_leq(u, v, RIGHT) == (
-        inv_mask(inverse(u)) & ~inv_mask(inverse(v)) == 0
-    )
+same_size_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[st.permutations(list(range(1, n + 1))).map(tuple)] * 2)
+)
+
+
+@given(same_size_pairs)
+def test_inv_mask_containment_is_left_order(pair):
+    # Reference: length additivity, with lengths counted independently of inv_mask.
+    u, v = pair
+
+    def additive(x, y, side):
+        quot = compose(y, inverse(x)) if side == LEFT else compose(inverse(x), y)
+        return brute_inversions(x) + brute_inversions(quot) == brute_inversions(y)
+
+    # The products are comparable to u whenever their lengths add.
+    for side, w in ((LEFT, compose(v, u)), (RIGHT, compose(u, v))):
+        for y in (v, w):
+            assert weak_leq(u, y, side) == additive(u, y, side)
 
 
 def test_weak_interval_examples():

@@ -21,6 +21,7 @@ from wol.posets import (
     chain,
     classify_pair,
     extremes_of_regular,
+    hasse_isos,
     interval_to_poset,
     is_regular,
     linear_extensions_L,
@@ -157,3 +158,25 @@ def test_poset_json_roundtrip():
     P = five_node_poset()
     assert poset_from_json(poset_to_json(P)) == P
     assert poset_to_json(P) == '{"n": 5, "covers": [[1, 4], [2, 4], [2, 5], [3, 2]]}'
+
+
+def test_hasse_isos_yields_every_coloured_isomorphism():
+    def hasse(P, colour=lambda x: 0, strict=lambda a, b: a > b):
+        return {
+            x: (colour(x), frozenset((a, strict(a, b)) for a, b in P.covers() if b == x))
+            for x in range(1, P.n + 1)
+        }
+
+    flat = hasse(antichain(3))
+    assert len(list(hasse_isos(flat, flat))) == 6
+    assert list(hasse_isos(flat, hasse(antichain(3), colour=lambda x: x == 1))) == []
+    P = five_node_poset()
+    assert list(hasse_isos(hasse(P), hasse(P))) == [{x: x for x in range(1, 6)}]
+    assert list(hasse_isos(hasse(P), hasse(relabel(P, 4)))) == [
+        {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
+    ]
+    # Swapping labels 2 and 3 keeps the shape but makes the edge 3 < 2 weak.
+    assert list(hasse_isos(hasse(P), hasse(relabel(P, 2)))) == []
+    plain = {"strict": lambda a, b: None}
+    assert len(list(hasse_isos(hasse(P, **plain), hasse(relabel(P, 2), **plain)))) == 1
+    assert list(hasse_isos(hasse(P), hasse(chain(5)))) == []
