@@ -30,15 +30,10 @@ from .permutations import (
     inverse,
     length,
     mult_s_left,
+    mult_s_right,
     weak_interval,
 )
-from .posets import (
-    COMPARABLE_NONCOVERING,
-    classify_pair,
-    hasse_isos,
-    interval_to_poset,
-    sigma_L_interval,
-)
+from .posets import hasse_isos, sigma_L_interval
 
 __all__ = [
     "EquivClass",
@@ -58,20 +53,33 @@ CLASS_CAP = 100_000
 DP_ISO_CAP = 60
 
 
+def _move_indices(lo: Perm, hi: Perm) -> list[int]:
+    """The i with a one-step move out of [lo, hi]_L, read off the windows."""
+    moves = []
+    for i in range(1, len(lo)):
+        a, b, c, d = lo[i - 1], lo[i], hi[i - 1], hi[i]
+        if (a < b) != (c < d):
+            continue  # incomparable
+        if a > b:
+            a, b, c, d = b, a, d, c
+        if any(a < x < b and c < y < d for x, y in zip(lo, hi)):
+            moves.append(i)
+    return moves
+
+
 def one_step_moves(I: WeakInterval) -> list[tuple[int, WeakInterval]]:
-    """All legal moves (i, I s_i) out of a left interval.
+    """All legal moves (i, I s_i) out of a left interval [sigma, rho]_L.
 
     A move at i exists exactly when (i, i+1) is a comparable pair that is
-    not a covering pair in the interval's poset.
+    not a covering pair in the interval's poset, x <_P y iff
+    sigma(x) < sigma(y) and rho(x) < rho(y).  That is read off the
+    windows in O(n) per i: the pair is comparable when sigma and rho
+    order it the same way, and not covering when some k lies strictly
+    between it in both sigma and rho.
     """
     if I.side != LEFT:
         raise DomainError("one_step_moves expects a left interval")
-    P = interval_to_poset(I)
-    return [
-        (i, I.translate_right(i))
-        for i in range(1, I.n)
-        if classify_pair(P, i) == COMPARABLE_NONCOVERING
-    ]
+    return [(i, I.translate_right(i)) for i in _move_indices(I.lo, I.hi)]
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,8 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     the lower endpoints form the right weak interval [sigma_0, sigma_1]_R.
     """
     cap = resolve_cap(cap, CLASS_CAP)
+    if I.side != LEFT:
+        raise DomainError("equiv_class expects a left interval")
     xi = compose(I.hi, inverse(I.lo))
     seen: dict[tuple[Perm, Perm], WeakInterval] = {(I.lo, I.hi): I}
     edges: set[tuple[tuple[Perm, Perm], tuple[Perm, Perm], int]] = set()
@@ -117,26 +127,30 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     while frontier:
         nxt = []
         for J in frontier:
-            for i, K in one_step_moves(J):
+            src = (J.lo, J.hi)
+            for i in _move_indices(J.lo, J.hi):
+                key = (mult_s_right(J.lo, i), mult_s_right(J.hi, i))
+                edges.add((src, key, i) if src < key else (key, src, i))
+                if key in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise ResourceCapError(
+                        f"class size exceeds cap {cap}", count=len(seen)
+                    )
+                K = WeakInterval(LEFT, *key)
                 if compose(K.hi, inverse(K.lo)) != xi:
                     raise InternalError("xi changed along a one-step move")
-                key = (K.lo, K.hi)
-                src = (J.lo, J.hi)
-                edges.add((src, key, i) if src < key else (key, src, i))
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCapError(
-                            f"class size exceeds cap {cap}", count=len(seen)
-                        )
-                    seen[key] = K
-                    nxt.append(K)
+                seen[key] = K
+                nxt.append(K)
         frontier = nxt
-    members = tuple(sorted(seen.values(), key=lambda J: (J.lo, J.hi)))
-    index = {(J.lo, J.hi): k for k, J in enumerate(members)}
+    keys = sorted(seen)
+    members = tuple(seen[key] for key in keys)
+    index = {key: k for k, key in enumerate(keys)}
     hasse = tuple(sorted((index[a], index[b], i) for a, b, i in edges))
-    los = [J.lo for J in members]
-    min_index = min(range(len(members)), key=lambda k: length(los[k]))
-    max_index = max(range(len(members)), key=lambda k: length(los[k]))
+    los = [lo for lo, _ in keys]
+    lengths = [length(lo) for lo in los]
+    min_index = lengths.index(min(lengths))
+    max_index = lengths.index(max(lengths))
     lo_set = weak_interval(los[min_index], los[max_index], RIGHT).elements
     if sorted(los) != list(lo_set):
         raise InternalError("lower endpoints do not form a right weak interval")

@@ -267,8 +267,16 @@ _COMMANDS = {
 }
 
 
+# Built on the first run() and reused: parse_args keeps no state between
+# calls, and importing wol without running the CLI does not pay for it.
+_parser: _Parser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ResourceCapError as exc:

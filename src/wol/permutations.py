@@ -159,9 +159,7 @@ def mult_s_left(u: Perm, i: int) -> Perm:
 
 def mult_s_right(u: Perm, i: int) -> Perm:
     """u s_i: swaps the window entries at positions i and i+1."""
-    w = list(u)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
+    return u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
 
 
 def descents(u: Perm, side: Side) -> frozenset[int]:
@@ -282,17 +280,18 @@ class WeakInterval:
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
-        seen = {self.lo}
-        frontier = [self.lo]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for _, h in covers_up(g, self.side):
-                    if h not in seen and weak_leq(h, self.hi, self.side):
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return tuple(sorted(seen))
+        """The members, sorted, by a BFS over upward covers from lo.
+
+        The BFS carries each member's inversion mask.  A left cover
+        s_i g sets exactly the bit of the position pair holding the
+        values i, i+1, so it stays below hi iff inv_mask(hi) has that
+        bit, and the new mask names the member before its window is
+        built.  A right interval runs the same BFS on the inverses.
+        """
+        if self.side == LEFT:
+            return tuple(sorted(_left_interval_bfs(self.lo, self.hi)))
+        below = _left_interval_bfs(inverse(self.lo), inverse(self.hi))
+        return tuple(sorted(inverse(g) for g in below))
 
     @property
     def size(self) -> int:
@@ -307,6 +306,43 @@ class WeakInterval:
 
     def __str__(self) -> str:
         return f"[{format_perm(self.lo)}, {format_perm(self.hi)}]_{self.side}"
+
+
+def _left_interval_bfs(lo: Perm, hi: Perm) -> list[Perm]:
+    """The members of [lo, hi]_L, for lo <=_L hi, in BFS order."""
+    n = len(lo)
+    # pair_bit[p][q]: the inv_mask bit of the 0-based position pair p < q.
+    pair_bit = [[0] * n for _ in range(n)]
+    bit = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            pair_bit[p][q] = 1 << bit
+            bit += 1
+    hi_mask = inv_mask(hi)
+    lo_mask = inv_mask(lo)
+    seen = {lo_mask}
+    found = [lo]
+    frontier = [(lo, lo_mask)]
+    while frontier:
+        nxt = []
+        for g, mask in frontier:
+            where = inverse(g)
+            for i in range(1, n):
+                p, q = where[i - 1] - 1, where[i] - 1
+                if p > q:  # i is a left descent of g
+                    continue
+                b = pair_bit[p][q]
+                up = mask | b
+                if not hi_mask & b or up in seen:
+                    continue
+                seen.add(up)
+                h = list(g)
+                h[p], h[q] = i + 1, i
+                h = tuple(h)
+                found.append(h)
+                nxt.append((h, up))
+        frontier = nxt
+    return found
 
 
 def weak_interval(lo: Perm, hi: Perm, side: Side) -> WeakInterval:

@@ -38,7 +38,7 @@ from .diagrams import (
     reflect,
     tableau_T,
 )
-from .errors import ResourceCapError
+from .errors import DomainError, ResourceCapError
 from .permutations import (
     LEFT,
     RIGHT,
@@ -308,8 +308,11 @@ def check_relabel_classification(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(2, min(nmax, 5) + 1):
         for I in all_left_intervals(n):
             P = interval_to_poset(I)
-            for i in range(1, n):
-                kind = classify_pair(P, i)
+            kinds = [classify_pair(P, i) for i in range(1, n)]
+            noncovering = [i for i, k in enumerate(kinds, 1) if k == COMPARABLE_NONCOVERING]
+            if [i for i, _ in one_step_moves(I)] != noncovering:
+                return False, f"one-step moves disagree with pair classification at {I}"
+            for i, kind in enumerate(kinds, 1):
                 Q = relabel(P, i)
                 if relabel(Q, i) != P:
                     return False, "relabel is not an involution"
@@ -841,6 +844,8 @@ SUITES: dict[str, list[Check]] = {
 
 def run_suite(name: str, nmax: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run one suite (or 'all'); returns (check name, ok, detail) rows."""
+    if nmax < 1:
+        raise DomainError(f"nmax must be at least 1, got {nmax}")
     names = list(SUITES) if name == "all" else [name]
     rows = []
     for suite in names:

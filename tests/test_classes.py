@@ -17,6 +17,8 @@ from wol.descent_diagrams import build_D_S_rho
 from wol.errors import DomainError, ResourceCapError
 from wol.permutations import (
     LEFT,
+    RIGHT,
+    all_perms,
     compose,
     descents,
     identity,
@@ -24,7 +26,9 @@ from wol.permutations import (
     longest_element,
     parse_perm,
     weak_interval,
+    weak_leq,
 )
+from wol.posets import COMPARABLE_NONCOVERING, classify_pair, interval_to_poset
 
 NINE_MEMBERS = [
     ("132456", "142563"),
@@ -66,6 +70,61 @@ def test_one_step_moves_examples():
     assert [i for i, _ in one_step_moves(I)] == [3]
     J = weak_interval(parse_perm("132456"), parse_perm("142563"), LEFT)
     assert [i for i, _ in one_step_moves(J)] == [1, 3]
+
+
+def left_intervals(n):
+    perms = list(all_perms(n))
+    return [weak_interval(u, v, LEFT) for u in perms for v in perms if weak_leq(u, v, LEFT)]
+
+
+def poset_moves(I):
+    """The move indices by the poset route: classify (i, i+1) in P(I)."""
+    P = interval_to_poset(I)
+    return [i for i in range(1, I.n) if classify_pair(P, i) == COMPARABLE_NONCOVERING]
+
+
+def test_one_step_moves_match_pair_classification():
+    intervals = left_intervals(5)
+    assert len(intervals) == 1899
+    for I in intervals:
+        moves = one_step_moves(I)
+        assert [i for i, _ in moves] == poset_moves(I)
+        assert all(J == I.translate_right(i) for i, J in moves)
+
+
+def reference_class(I):
+    """Members, hasse, min and max of the class of I, by a BFS over
+    translate_right and the poset classification of each member."""
+    seen = {(I.lo, I.hi)}
+    edges = set()
+    frontier = [I]
+    while frontier:
+        nxt = []
+        for J in frontier:
+            for i in poset_moves(J):
+                K = J.translate_right(i)
+                a, b = sorted([(J.lo, J.hi), (K.lo, K.hi)])
+                edges.add((a, b, i))
+                if (K.lo, K.hi) not in seen:
+                    seen.add((K.lo, K.hi))
+                    nxt.append(K)
+        frontier = nxt
+    keys = sorted(seen)
+    index = {key: k for k, key in enumerate(keys)}
+    hasse = sorted((index[a], index[b], i) for a, b, i in edges)
+    los = [lo for lo, _ in keys]
+    bottom = next(k for k, u in enumerate(los) if all(weak_leq(u, v, RIGHT) for v in los))
+    top = next(k for k, v in enumerate(los) if all(weak_leq(u, v, RIGHT) for u in los))
+    return keys, hasse, bottom, top
+
+
+def test_equiv_class_matches_reference_bfs():
+    for I in left_intervals(4):
+        C = equiv_class(I)
+        keys, hasse, bottom, top = reference_class(I)
+        assert [(J.lo, J.hi) for J in C.members] == keys
+        assert list(C.hasse) == hasse
+        assert (C.min_index, C.max_index) == (bottom, top)
 
 
 def test_equiv_class_singleton():

@@ -135,6 +135,40 @@ def test_verify_suite(capsys):
     assert "6/6 checks passed" in out
 
 
+@pytest.mark.parametrize("nmax", [0, -3])
+@pytest.mark.parametrize("suite", ["perm", "class"])
+def test_verify_rejects_nmax_below_one(suite, nmax, capsys):
+    code, out, err = capture(["verify", "--suite", suite, "--nmax", str(nmax)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": f"nmax must be at least 1, got {nmax}",
+    }
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    sequence = [
+        ["class", "--lo", "132456"],
+        ["class", "--lo", "132456", "--hi", "142563", "--format", "text"],
+        ["class", "--lo", "132456", "--hi", "142563"],
+        ["diagram", "--S", "{2,5}", "--rho", "231564"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "wol.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [3, 0, 0, 0]
+
+
 def test_hasse_class(capsys):
     code, out, _ = capture(["hasse", "--lo", "132465", "--hi", "231564"], capsys)
     assert code == 0 and out.startswith("digraph")

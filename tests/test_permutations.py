@@ -188,6 +188,18 @@ def test_weak_interval_lex_sorted_and_closed():
                 assert h in members
 
 
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_elements_match_brute_force_filter(side):
+    perms = list(all_perms(4))
+    for lo in perms:
+        for hi in perms:
+            if weak_leq(lo, hi, side):
+                expected = tuple(
+                    g for g in perms if weak_leq(lo, g, side) and weak_leq(g, hi, side)
+                )
+                assert weak_interval(lo, hi, side).elements == expected
+
+
 def test_descent_class_examples():
     n = 4
     top = descent_class(set(), set(), n)
