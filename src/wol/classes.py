@@ -31,6 +31,7 @@ from .permutations import (
     length,
     mult_s_left,
     mult_s_right,
+    parse_perm,
     weak_interval,
 )
 from .posets import hasse_isos, sigma_L_interval
@@ -282,8 +283,6 @@ def class_to_json(C: EquivClass) -> str:
 
 
 def class_from_json(text: str) -> EquivClass:
-    from .permutations import parse_perm
-
     data = json.loads(text)
     members = tuple(
         weak_interval(parse_perm(lo), parse_perm(hi), LEFT)

@@ -156,43 +156,31 @@ def _cmd_minmax(args) -> int:
     return 0
 
 
-def _hull_cover_result(result) -> str:
-    return json.dumps(
-        {
-            "kind": result.kind,
-            "interval": _interval_json(result.interval),
-            "lower_set": sorted(result.lower_set),
-            "upper_set": sorted(result.upper_set),
-            "projective_indecomposable": result.is_projective_indecomposable,
-        }
-    )
-
-
-def _cmd_hull(args) -> int:
+def _cmd_hull_or_cover(args) -> int:
     if args.family is not None:
         if args.alpha is None:
             raise DomainError("--family needs --alpha")
-        kind = "Q-hull" if args.family == "Q" else args.family
+        kind = f"Q-{args.command}" if args.family == "Q" else args.family
         result = hull_or_cover(kind, alpha=parse_alpha(args.alpha))
-    else:
+    elif args.command == "hull":
         if args.S is None or args.rho is None:
             raise DomainError("hull needs --S and --rho, or --family and --alpha")
         result = hull_or_cover("lower", S=parse_subset(args.S), rho=parse_perm(args.rho))
-    print(_hull_cover_result(result))
-    return 0
-
-
-def _cmd_cover(args) -> int:
-    if args.family is not None:
-        if args.alpha is None:
-            raise DomainError("--family needs --alpha")
-        kind = "Q-cover" if args.family == "Q" else args.family
-        result = hull_or_cover(kind, alpha=parse_alpha(args.alpha))
     else:
         if args.S is None or args.sigma is None:
             raise DomainError("cover needs --sigma and --S, or --family and --alpha")
         result = hull_or_cover("upper", sigma=parse_perm(args.sigma), S=parse_subset(args.S))
-    print(_hull_cover_result(result))
+    print(
+        json.dumps(
+            {
+                "kind": result.kind,
+                "interval": _interval_json(result.interval),
+                "lower_set": sorted(result.lower_set),
+                "upper_set": sorted(result.upper_set),
+                "projective_indecomposable": result.is_projective_indecomposable,
+            }
+        )
+    )
     return 0
 
 
@@ -259,8 +247,8 @@ _COMMANDS = {
     "class": _cmd_class,
     "diagram": _cmd_diagram,
     "minmax": _cmd_minmax,
-    "hull": _cmd_hull,
-    "cover": _cmd_cover,
+    "hull": _cmd_hull_or_cover,
+    "cover": _cmd_hull_or_cover,
     "family": _cmd_family,
     "verify": _cmd_verify,
     "hasse": _cmd_hasse,

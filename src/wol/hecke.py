@@ -21,9 +21,7 @@ from .compositions import (
     Composition,
     all_compositions,
     is_peak,
-    reverse,
     set_of,
-    subset_transpose,
     validate_composition,
 )
 from .classes import dp_isos
@@ -32,6 +30,7 @@ from .diagrams import (
     Diagram,
     Filling,
     canonical_fill,
+    filling_from_json,
     filling_to_json,
     free_violation,
     profiles,
@@ -47,6 +46,7 @@ from .permutations import (
     format_perm,
     longest_parabolic,
     mult_s_left,
+    parse_perm,
     w1,
     weak_interval,
 )
@@ -159,17 +159,13 @@ def module_Bbar(I: WeakInterval) -> HeckeModule:
     basis = I.elements
     elements = frozenset(basis)
 
-    def act_bar(i: int, g: Perm):
-        if i in descents(g, LEFT):
-            return [(-1, g)]
-        h = mult_s_left(g, i)
-        return [(1, h)] if h in elements else []
-
     def act(i: int, g: Perm):
-        images = {g: 1}
-        for coeff, image in act_bar(i, g):
-            images[image] = images.get(image, 0) + coeff
-        return [(c, b) for b, c in images.items() if c]
+        # pi = pi_bar + 1: pi-bar negates g at a descent and otherwise
+        # sends g to s_i g, or to 0 when s_i g leaves the interval.
+        if i in descents(g, LEFT):
+            return []
+        h = mult_s_left(g, i)
+        return [(1, g), (1, h)] if h in elements else [(1, g)]
 
     return _module_from_action(I.n, basis, act, PI_BAR)
 
@@ -319,124 +315,58 @@ def _require_free(D: Diagram) -> None:
         )
 
 
-def hull_interval(D: Diagram) -> HullCoverResult:
-    """Injective hull of the module of a free diagram's lower interval:
-    [w_0(Des_L(readingBTLR(F^right))), w_1(set(r(D)))]_L."""
-    _require_free(D)
-    n = D.n
-    A = descents(reading(canonical_fill(D, "right"), "BTLR"), LEFT)
-    B = set_of(profiles(D)[0])
+def _descent_class_result(
+    kind: str, A: frozenset[int], B: frozenset[int], n: int
+) -> HullCoverResult:
+    """The hull or cover [w_0(A), w_1(B)]_L, a descent class when A <= B."""
     if not A <= B:
-        raise InternalError("hull interval is not a descent class")
+        raise InternalError(f"{kind} interval is not a descent class")
     return HullCoverResult(
-        "injective_hull",
+        kind,
         weak_interval(longest_parabolic(A, n), w1(B, n), LEFT),
         frozenset(A),
         frozenset(B),
     )
+
+
+def hull_interval(D: Diagram) -> HullCoverResult:
+    """Injective hull of the module of a free diagram's lower interval:
+    [w_0(Des_L(readingBTLR(F^right))), w_1(set(r(D)))]_L."""
+    _require_free(D)
+    A = descents(reading(canonical_fill(D, "right"), "BTLR"), LEFT)
+    B = set_of(profiles(D)[0])
+    return _descent_class_result("injective_hull", A, B, D.n)
 
 
 def cover_interval(D: Diagram) -> HullCoverResult:
     """Projective cover of the module of a free diagram's upper interval:
     [w_0(set(c(D))^c), w_1(Des_L(readingLRBT(F^down)))]_L."""
     _require_free(D)
-    n = D.n
-    A = frozenset(range(1, n)) - set_of(profiles(D)[1])
+    A = frozenset(range(1, D.n)) - set_of(profiles(D)[1])
     B = descents(reading(canonical_fill(D, "down"), "LRBT"), LEFT)
-    if not A <= B:
-        raise InternalError("cover interval is not a descent class")
-    return HullCoverResult(
-        "projective_cover",
-        weak_interval(longest_parabolic(A, n), w1(B, n), LEFT),
-        frozenset(A),
-        frozenset(B),
-    )
+    return _descent_class_result("projective_cover", A, B, D.n)
 
 
-def _v_hull_shortcut(alpha: Composition) -> HullCoverResult:
-    # Closed form for Des_L of the column reading of F^right on the V
-    # diagram.  Each part of size >= 2 contributes the descent run
-    # beta_i - alpha_i + 2 .. beta_i - 1 with beta_i the i-th partial sum
-    # minus i, and n - ell is always a descent when any part exceeds 1.
-    n, ell = sum(alpha), len(alpha)
-    A: set[int] = set()
-    for i in range(1, ell + 1):
-        if alpha[i - 1] >= 2:
-            beta = sum(alpha[:i]) - i
-            A.update(range(beta - alpha[i - 1] + 2, beta))
-    if n > ell:
-        A.add(n - ell)
-    B = set_of(profiles(family_diagram("V", alpha))[0])
-    return HullCoverResult(
-        "injective_hull",
-        weak_interval(longest_parabolic(frozenset(A), n), w1(B, n), LEFT),
-        frozenset(A),
-        frozenset(B),
-    )
-
-
-def _x_hull_shortcut(alpha: Composition) -> HullCoverResult:
-    n = sum(alpha)
-    S = set_of(profiles(family_diagram("X", alpha))[0])
-    return HullCoverResult(
-        "injective_hull",
-        weak_interval(longest_parabolic(S, n), w1(S, n), LEFT),
-        frozenset(S),
-        frozenset(S),
-    )
-
-
-def _q_cover_shortcut(alpha: Composition) -> HullCoverResult:
-    n, ell = sum(alpha), len(alpha)
-    A = frozenset(2 * k for k in range(1, ell))
-    G = family_diagram("Q", alpha)
-    B = descents(reading(canonical_fill(G, "down"), "LRBT"), LEFT)
-    return HullCoverResult(
-        "projective_cover",
-        weak_interval(longest_parabolic(A, n), w1(B, n), LEFT),
-        A,
-        frozenset(B),
-    )
-
-
-def _q_hull_shortcut(alpha: Composition) -> HullCoverResult:
-    n = sum(alpha)
-    S = set_of(reverse(alpha))
-    return HullCoverResult(
-        "injective_hull",
-        weak_interval(longest_parabolic(S, n), w1(S, n), LEFT),
-        frozenset(S),
-        frozenset(S),
-    )
-
-
-def _twisted_cover_shortcut(kind: str, alpha: Composition) -> HullCoverResult:
-    n = sum(alpha)
-    base_diagram = family_diagram(kind, alpha)
-    r_set = set_of(profiles(base_diagram)[0])
-    if kind == "V":
-        A = subset_transpose(r_set, n)
-        B = subset_transpose(_v_hull_shortcut(alpha).lower_set, n)
-    elif kind == "X":
-        A = B = subset_transpose(r_set, n)
-    else:  # Shat
-        A = subset_transpose(r_set, n)
-        hull = hull_interval(base_diagram)
-        B = subset_transpose(hull.lower_set, n)
-    return HullCoverResult(
-        "projective_cover",
-        weak_interval(longest_parabolic(A, n), w1(B, n), LEFT),
-        frozenset(A),
-        frozenset(B),
-    )
+# family kind -> (general formula, family diagram, whether it is transposed);
+# the twisted families RV, RX, RShat live on the transposed base diagrams.
+_FAMILY_FORMULAS = {
+    "V": (hull_interval, "V", False),
+    "X": (hull_interval, "X", False),
+    "Shat": (hull_interval, "Shat", False),
+    "Q-hull": (hull_interval, "Q", False),
+    "Q-cover": (cover_interval, "Q", False),
+    "RV": (cover_interval, "V", True),
+    "RX": (cover_interval, "X", True),
+    "RShat": (cover_interval, "Shat", True),
+}
 
 
 def hull_or_cover(kind: str, **params) -> HullCoverResult:
-    """Hulls and covers, general or by family shortcut.
+    """Hulls and covers by the paper's general formula.
 
     kind "lower" takes S and rho; "upper" takes sigma and S.  The family
-    kinds take alpha; each family shortcut is checked against the general
-    formula on the family's diagram before being returned.
+    kinds take alpha and run the general formula on the family's diagram;
+    the families' closed forms are checked against it in ``verify``.
     """
     if kind == "lower":
         S, rho = frozenset(params["S"]), params["rho"]
@@ -445,59 +375,23 @@ def hull_or_cover(kind: str, **params) -> HullCoverResult:
         sigma, S = params["sigma"], frozenset(params["S"])
         return cover_interval(build_D_sigma_S(sigma, S).diagram)
     alpha = validate_composition(params["alpha"])
-    if kind in ("V", "X", "Shat"):
-        shortcut = {
-            "V": _v_hull_shortcut,
-            "X": _x_hull_shortcut,
-            "Shat": lambda a: hull_interval(family_diagram("Shat", a)),
-        }[kind](alpha)
-        general = hull_interval(family_diagram(kind, alpha))
-    elif kind == "Q-cover":
-        shortcut = _q_cover_shortcut(alpha)
-        general = cover_interval(family_diagram("Q", alpha))
-    elif kind == "Q-hull":
-        shortcut = _q_hull_shortcut(alpha)
-        general = hull_interval(family_diagram("Q", alpha))
-    elif kind in ("RV", "RX", "RShat"):
-        base = kind[1:]
-        shortcut = _twisted_cover_shortcut(base, alpha)
-        general = cover_interval(reflect(family_diagram(base, alpha), "transpose"))
-    else:
+    if kind not in _FAMILY_FORMULAS:
         raise DomainError(f"unknown hull/cover kind {kind!r}")
-    if (shortcut.kind, shortcut.interval) != (general.kind, general.interval):
-        raise InternalError(
-            f"family shortcut disagrees with the general formula for {kind}({alpha}): "
-            f"{shortcut.interval} vs {general.interval}"
-        )
-    return shortcut
+    formula, family, transposed = _FAMILY_FORMULAS[kind]
+    D = family_diagram(family, alpha)
+    return formula(reflect(D, "transpose") if transposed else D)
 
 
 def projective_decomposition(
     S: Iterable[int], T: Iterable[int], n: int
 ) -> list[Composition]:
-    """Compositions alpha of n with S <= set(alpha)^c <= T, audited so the
-    projective dimensions sum to the descent-class size."""
+    """Compositions alpha of n with S <= set(alpha)^c <= T: the projective
+    indecomposable summands of B over the descent class [w_0(S), w_1(T)]_L."""
     S, T = frozenset(S), frozenset(T)
     if not S <= T:
         raise OrderError(f"S must be contained in T: {sorted(S)} vs {sorted(T)}")
     full = frozenset(range(1, n))
-    out = [
-        alpha
-        for alpha in all_compositions(n)
-        if S <= full - set_of(alpha) <= T
-    ]
-    total = sum(
-        weak_interval(
-            longest_parabolic(full - set_of(a), n), w1(full - set_of(a), n), LEFT
-        ).size
-        for a in out
-    )
-    expected = weak_interval(longest_parabolic(S, n), w1(T, n), LEFT).size
-    if total != expected:
-        raise InternalError(
-            f"projective dimensions sum to {total}, descent class has {expected}"
-        )
-    return out
+    return [alpha for alpha in all_compositions(n) if S <= full - set_of(alpha) <= T]
 
 
 def module_to_json(M: HeckeModule) -> str:
@@ -517,9 +411,6 @@ def module_to_json(M: HeckeModule) -> str:
 
 
 def module_from_json(text: str) -> HeckeModule:
-    from .diagrams import filling_from_json
-    from .permutations import parse_perm
-
     data = json.loads(text)
     basis = tuple(
         parse_perm(b) if isinstance(b, str) else filling_from_json(json.dumps(b))

@@ -20,7 +20,7 @@ from .compositions import (
     sort_parts,
     validate_composition,
 )
-from .descent_diagrams import family_diagram
+from .descent_diagrams import build_D_S_rho, family_diagram
 from .diagrams import (
     Diagram,
     Filling,
@@ -29,6 +29,7 @@ from .diagrams import (
     enumerate_ST,
     fill_from_map,
     is_standard_tableau,
+    profiles,
     reading,
     reflect,
     tableau_T,
@@ -275,8 +276,6 @@ def family_class(kind: str, alpha: Iterable[int]) -> ClassSummary:
         lo = longest_parabolic(s_comp, n)
         hi = compose(longest_parabolic(set_of(alpha), n), w0)
         size = weak_interval(lo, hi, "R").size
-        from .descent_diagrams import build_D_S_rho
-
         singleton_lo = weak_interval(lo, lo, LEFT)
         singleton_hi = weak_interval(hi, hi, LEFT)
         return ClassSummary(
@@ -305,8 +304,6 @@ def family_class(kind: str, alpha: Iterable[int]) -> ClassSummary:
             reading(tableau_T(diagram, primed=False), "TBLR"),
             LEFT,
         )
-        from .diagrams import profiles
-
         r_profile, _ = profiles(diagram)
         max_interval = weak_interval(
             reading(tableau_T(diagram, primed=True), "LRTB"),

@@ -16,7 +16,14 @@ from typing import Callable, Iterator
 
 from . import hecke, tableaux
 from .classes import class_tableau_bijection, dp_iso_exists, equiv_class, one_step_moves
-from .compositions import all_compositions, is_peak, reverse, set_of, subset_reverse
+from .compositions import (
+    all_compositions,
+    is_peak,
+    reverse,
+    set_of,
+    subset_reverse,
+    subset_transpose,
+)
 from .descent_diagrams import (
     build_D_S_rho,
     build_D_sigma_S,
@@ -432,15 +439,10 @@ def check_star_action_relations(nmax: int, seed: int) -> tuple[bool, str]:
             tabs = enumerate_ST(Dx, cap=300)
         except ResourceCapError:
             continue
-
-        def star(i, T):
-            res = hecke_star(i, T)
-            return res
-
         for T in tabs:
             for i in range(1, D.n):
-                once = star(i, T)
-                if once is not None and star(i, once) != once:
+                once = hecke_star(i, T)
+                if once is not None and hecke_star(i, once) != once:
                     return False, f"star idempotence fails on {D}"
             for i in range(1, D.n - 1):
                 lhs = _star_word(T, [i, i + 1, i])
@@ -770,28 +772,84 @@ def check_intertwiner_ladder(nmax: int, seed: int) -> tuple[bool, str]:
     return True, "adjacent class members intertwine by right translation"
 
 
+def family_closed_form(
+    kind: str, alpha: tuple[int, ...]
+) -> tuple[frozenset[int], frozenset[int] | None]:
+    """The (A, B) of a family hull or cover [w_0(A), w_1(B)]_L by the
+    paper's closed forms, for checking against ``hecke.hull_or_cover``.
+
+    B is None for Q-cover, whose closed form fixes only A.  Shat has no
+    closed form of its own, so RShat is read off the transposed Shat hull.
+    """
+    n, ell = sum(alpha), len(alpha)
+    if kind in ("RV", "RX", "RShat"):
+        base = kind[1:]
+        if base == "Shat":
+            hull_lower = hecke.hull_or_cover(base, alpha=alpha).lower_set
+        else:
+            hull_lower = family_closed_form(base, alpha)[0]
+        r_set = set_of(profiles(family_diagram(base, alpha))[0])
+        return subset_transpose(r_set, n), subset_transpose(hull_lower, n)
+    if kind == "V":
+        # Each part of size >= 2 contributes the descent run
+        # beta_i - alpha_i + 2 .. beta_i - 1, with beta_i the i-th partial
+        # sum minus i, and n - ell is a descent when any part exceeds 1.
+        A: set[int] = set()
+        for i, part in enumerate(alpha, start=1):
+            if part >= 2:
+                beta = sum(alpha[:i]) - i
+                A.update(range(beta - part + 2, beta))
+        if n > ell:
+            A.add(n - ell)
+        return frozenset(A), set_of(profiles(family_diagram("V", alpha))[0])
+    if kind == "X":
+        S = set_of(profiles(family_diagram("X", alpha))[0])
+        return S, S
+    if kind == "Q-hull":
+        S = set_of(reverse(alpha))
+        return S, S
+    if kind == "Q-cover":
+        return frozenset(range(2, 2 * ell - 1, 2)), None
+    raise DomainError(f"no closed form for family kind {kind!r}")
+
+
 def check_hull_cover_families(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(1, min(nmax, 7) + 1):
         for alpha in all_compositions(n):
-            for kind in ("V", "X", "Shat", "RV", "RX", "RShat"):
+            kinds = ["V", "X", "Shat", "RV", "RX", "RShat"]
+            if is_peak(alpha):
+                kinds += ["Q-hull", "Q-cover"]
+            for kind in kinds:
                 result = hecke.hull_or_cover(kind, alpha=alpha)
                 if not result.lower_set <= result.upper_set:
                     return False, f"{kind}({alpha}) is not a descent class"
-                if kind in ("X", "RX") and not result.is_projective_indecomposable:
-                    return False, f"{kind}({alpha}) hull should be indecomposable"
-            if is_peak(alpha):
-                hull = hecke.hull_or_cover("Q-hull", alpha=alpha)
-                if not hull.is_projective_indecomposable:
-                    return False, f"Q({alpha}) hull should be indecomposable"
-                hecke.hull_or_cover("Q-cover", alpha=alpha)
+                if kind == "Shat":
+                    continue
+                A, B = family_closed_form(kind, alpha)
+                if result.lower_set != A or (B is not None and result.upper_set != B):
+                    return False, (
+                        f"{kind}({alpha}): closed form {sorted(A)}, "
+                        f"{sorted(B) if B is not None else '-'} differs from the general "
+                        f"formula {sorted(result.lower_set)}, {sorted(result.upper_set)}"
+                    )
     return True, "family hulls and covers match the general formulas"
 
 
 def check_projective_decompositions(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(1, min(nmax, 6) + 1):
+        full = frozenset(range(1, n))
         for T in subsets(list(range(1, n))):
             for S in subsets(sorted(T)):
-                hecke.projective_decomposition(S, T, n)
+                total = sum(
+                    descent_class(full - set_of(a), full - set_of(a), n).size
+                    for a in hecke.projective_decomposition(S, T, n)
+                )
+                expected = descent_class(S, T, n).size
+                if total != expected:
+                    return False, (
+                        f"projective dimensions for S={sorted(S)}, T={sorted(T)} "
+                        f"sum to {total}, descent class has {expected}"
+                    )
     return True, "projective summand dimensions audit cleanly"
 
 

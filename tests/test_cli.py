@@ -89,6 +89,61 @@ def test_hull_cover_commands(capsys):
     assert json.loads(out)["interval"] == ["132456", "562341"]
 
 
+FAMILY_GOLDENS = [
+    (
+        ["hull", "--family", "Shat", "--alpha", "(3,2,4)"],
+        '{"kind": "injective_hull", "interval": ["432157698", "987456231"], '
+        '"lower_set": [1, 2, 3, 6, 8], "upper_set": [1, 2, 3, 6, 8], '
+        '"projective_indecomposable": true}\n',
+    ),
+    (
+        ["cover", "--family", "RV", "--alpha", "(3,2,4)"],
+        '{"kind": "projective_cover", "interval": ["321456789", "984567312"], '
+        '"lower_set": [1, 2], "upper_set": [1, 2, 6, 7], '
+        '"projective_indecomposable": false}\n',
+    ),
+    (
+        ["cover", "--family", "RShat", "--alpha", "(3,2,4)"],
+        '{"kind": "projective_cover", "interval": ["132654789", "896751234"], '
+        '"lower_set": [2, 4, 5], "upper_set": [2, 4, 5], '
+        '"projective_indecomposable": true}\n',
+    ),
+    (
+        ["cover", "--family", "Q", "--alpha", "(3,2,3,1)"],
+        '{"kind": "projective_cover", "interval": ["132547689", "896745231"], '
+        '"lower_set": [2, 4, 6], "upper_set": [2, 4, 6, 8], '
+        '"projective_indecomposable": false}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", FAMILY_GOLDENS, ids=["hull-Shat", "cover-RV", "cover-RShat", "cover-Q"]
+)
+def test_family_hull_cover_goldens(argv, expected, capsys):
+    assert capture(argv, capsys) == (0, expected, "")
+
+
+EMPTY_ALPHA = "family diagrams need a nonempty composition"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hull", "--family", "Q", "--alpha", "(1,2)"], "(1, 2) is not a peak composition"),
+        (["cover", "--family", "Q", "--alpha", "(3,1,2)"], "(3, 1, 2) is not a peak composition"),
+        (["hull", "--family", "V", "--alpha", "()"], EMPTY_ALPHA),
+        (["cover", "--family", "RX", "--alpha", "()"], EMPTY_ALPHA),
+    ],
+    ids=["hull-Q-non-peak", "cover-Q-non-peak", "hull-empty-alpha", "cover-empty-alpha"],
+)
+def test_family_hull_cover_domain_errors(argv, message, capsys):
+    code, out, err = capture(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "domain", "message": message}
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = capture(["diagram", "--S", "{2,5}", "--rho", "123456"], capsys)
     assert code == 1 and out == ""

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from wol import hecke
 from wol.compositions import all_compositions, comp_of, is_peak, set_of
 
 from wol.diagrams import reading
@@ -37,7 +38,7 @@ from wol.permutations import (
 )
 from wol.posets import interval_to_poset
 from wol.tableaux import enumerate_family, sink_source
-from wol.verify import all_left_intervals
+from wol.verify import all_left_intervals, check_hull_cover_families, family_closed_form
 
 
 def test_singleton_module_is_descent_indicator():
@@ -196,14 +197,34 @@ def test_family_hull_goldens():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_hull_cover_shortcuts_agree(n):
-    # hull_or_cover raises InternalError if a shortcut deviates
+    # the general formula gives the (A, B) of the paper's closed forms
     for alpha in all_compositions(n):
-        for kind in ("V", "X", "Shat", "RV", "RX", "RShat"):
-            result = hull_or_cover(kind, alpha=alpha)
-            assert result.lower_set <= result.upper_set
+        kinds = ["V", "X", "RV", "RX", "RShat"]
         if is_peak(alpha):
-            hull_or_cover("Q-hull", alpha=alpha)
-            hull_or_cover("Q-cover", alpha=alpha)
+            kinds += ["Q-hull", "Q-cover"]
+        for kind in kinds:
+            result = hull_or_cover(kind, alpha=alpha)
+            A, B = family_closed_form(kind, alpha)
+            assert result.lower_set == A, (kind, alpha)
+            if B is not None:
+                assert result.upper_set == B, (kind, alpha)
+            assert result.interval == descent_class(A, result.upper_set, n)
+        shat = hull_or_cover("Shat", alpha=alpha)
+        assert shat.lower_set <= shat.upper_set
+
+
+def test_hull_cover_family_check_detects_a_wrong_interval(monkeypatch):
+    assert check_hull_cover_families(5, 0)[0]
+    general = hecke.hull_or_cover
+
+    def wrong_for_x(kind, **params):
+        # the V interval in place of the X one
+        return general("V" if kind == "X" else kind, **params)
+
+    monkeypatch.setattr(hecke, "hull_or_cover", wrong_for_x)
+    ok, detail = check_hull_cover_families(5, 0)
+    assert not ok
+    assert detail.startswith("X(")
 
 
 def test_projective_decomposition_examples():
