@@ -1,5 +1,15 @@
-"""Cross-module structural invariants."""
+"""Cross-module structural invariants and doctest collection."""
 
+import doctest
+
+import pytest
+
+import wol.compositions
+import wol.descent_diagrams
+import wol.diagrams
+import wol.errors
+import wol.permutations
+import wol.posets
 from wol.classes import class_from_json, class_to_json, equiv_class
 from wol.compositions import all_compositions, set_of
 from wol.descent_diagrams import build_D_S_rho, lower_minmax
@@ -29,6 +39,22 @@ from wol.verify import (
     random_diagrams,
     subsets,
 )
+
+DOCTEST_MODULES = [
+    wol.permutations,
+    wol.compositions,
+    wol.posets,
+    wol.diagrams,
+    wol.descent_diagrams,
+    wol.errors,
+]
+
+
+@pytest.mark.parametrize("module", DOCTEST_MODULES, ids=lambda m: m.__name__)
+def test_doctests(module):
+    result = doctest.testmod(module)
+    assert result.failed == 0
+
 
 def test_ribbons_are_connected():
     def connected(D):
