@@ -1,12 +1,15 @@
 """
 The descent-preserving equivalence on left weak Bruhat intervals: one-step
-moves, class enumeration by BFS, the class order, and a brute-force
-isomorphism oracle.
+moves, class enumeration by right translation, the class order, and a
+brute-force isomorphism oracle.
 
 Two intervals are equivalent when a poset isomorphism between them
 preserves every left descent set.  The one-step move multiplies an
 interval on the right by s_i whenever (i, i+1) is a comparable
-non-covering pair of its regular poset.
+non-covering pair of its regular poset.  A class is the closure under
+moves; it is enumerated as the right weak interval of its lower
+endpoints, translated by the class's fixed xi, and ``verify`` checks
+that against the closure by BFS.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .diagrams import Diagram, Filling, enumerate_ST, poset_of_filling, reading, reflect
-from .errors import DomainError, InternalError, ResourceCapError, resolve_cap
+from .errors import DomainError, ResourceCapError, resolve_cap
 from .permutations import (
     LEFT,
-    RIGHT,
     Perm,
     WeakInterval,
     compose,
@@ -28,6 +30,7 @@ from .permutations import (
     format_perm,
     inv_mask,
     inverse,
+    left_interval_bfs,
     length,
     mult_s_left,
     mult_s_right,
@@ -112,50 +115,57 @@ class EquivClass:
         return self.members[self.max_index]
 
 
-def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
-    """BFS closure of an interval under one-step moves.
+def _walk_to_end(lo: Perm, xi: Perm, down: bool) -> Perm:
+    """The lower endpoint of the class minimum (down) or maximum (up),
+    reached from [lo, xi lo]_L by moves at right descents (down) or
+    ascents (up) of the lower endpoint."""
+    while True:
+        hi = compose(xi, lo)
+        i = next((i for i in _move_indices(lo, hi) if (lo[i - 1] > lo[i]) == down), None)
+        if i is None:
+            return lo
+        lo = mult_s_right(lo, i)
 
-    Verifies along the way that xi stays constant, and afterwards that
-    the lower endpoints form the right weak interval [sigma_0, sigma_1]_R.
+
+def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
+    """The class of a left interval, enumerated by right translation.
+
+    By Kim-Lee-Oh the lower endpoints of the class form the right weak
+    interval [sigma_min, sigma_max]_R, and each member is
+    [lambda, xi lambda]_L with the fixed xi = hi lo^-1.  So the class is
+    found by walking down and up by moves to sigma_min and sigma_max and
+    listing that right interval; its Hasse edges are the right covers
+    lambda -> lambda s_i inside it.  The closure under one-step moves by
+    BFS, which defines the class, is ``verify.class_by_moves``; verify
+    checks this enumeration against it.
+
+    Raises ResourceCapError once the class passes ``cap`` members.
     """
     cap = resolve_cap(cap, CLASS_CAP)
     if I.side != LEFT:
         raise DomainError("equiv_class expects a left interval")
     xi = compose(I.hi, inverse(I.lo))
-    seen: dict[tuple[Perm, Perm], WeakInterval] = {(I.lo, I.hi): I}
-    edges: set[tuple[tuple[Perm, Perm], tuple[Perm, Perm], int]] = set()
-    frontier = [I]
-    while frontier:
-        nxt = []
-        for J in frontier:
-            src = (J.lo, J.hi)
-            for i in _move_indices(J.lo, J.hi):
-                key = (mult_s_right(J.lo, i), mult_s_right(J.hi, i))
-                edges.add((src, key, i) if src < key else (key, src, i))
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise ResourceCapError(
-                        f"class size exceeds cap {cap}", count=len(seen)
-                    )
-                K = WeakInterval(LEFT, *key)
-                if compose(K.hi, inverse(K.lo)) != xi:
-                    raise InternalError("xi changed along a one-step move")
-                seen[key] = K
-                nxt.append(K)
-        frontier = nxt
-    keys = sorted(seen)
-    members = tuple(seen[key] for key in keys)
-    index = {key: k for k, key in enumerate(keys)}
-    hasse = tuple(sorted((index[a], index[b], i) for a, b, i in edges))
-    los = [lo for lo, _ in keys]
-    lengths = [length(lo) for lo in los]
-    min_index = lengths.index(min(lengths))
-    max_index = lengths.index(max(lengths))
-    lo_set = weak_interval(los[min_index], los[max_index], RIGHT).elements
-    if sorted(los) != list(lo_set):
-        raise InternalError("lower endpoints do not form a right weak interval")
-    return EquivClass(I.n, members, xi, hasse, min_index, max_index)
+    bottom = _walk_to_end(I.lo, xi, down=True)
+    top = _walk_to_end(I.lo, xi, down=False)
+    los = []
+    for g in left_interval_bfs(inverse(bottom), inverse(top)):
+        # The class always has its first member, so a cap below 1 acts as 1.
+        if len(los) >= max(cap, 1):
+            raise ResourceCapError(f"class size exceeds cap {cap}", count=len(los))
+        los.append(inverse(g))
+    los.sort()
+    index = {lo: k for k, lo in enumerate(los)}
+    members = tuple(WeakInterval(LEFT, lo, compose(xi, lo)) for lo in los)
+    # lo s_i at an ascent i of lo is lexicographically later, so a < b.
+    hasse = []
+    for a, lo in enumerate(los):
+        for i in range(1, I.n):
+            if lo[i - 1] < lo[i]:
+                b = index.get(mult_s_right(lo, i))
+                if b is not None:
+                    hasse.append((a, b, i))
+    hasse.sort()
+    return EquivClass(I.n, members, xi, tuple(hasse), index[bottom], index[top])
 
 
 def _dp_colours(I: WeakInterval) -> dict[Perm, tuple[int, frozenset[int]]]:

@@ -83,10 +83,6 @@ def comp_of(I: Iterable[int], n: int) -> Composition:
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def size_of(alpha: Iterable[int]) -> int:
-    return sum(alpha)
-
-
 def reverse(alpha: Iterable[int]) -> Composition:
     """alpha^r."""
     return tuple(reversed(validate_composition(alpha)))

@@ -367,7 +367,14 @@ def hull_or_cover(kind: str, **params) -> HullCoverResult:
     kind "lower" takes S and rho; "upper" takes sigma and S.  The family
     kinds take alpha and run the general formula on the family's diagram;
     the families' closed forms are checked against it in ``verify``.
+    A missing parameter is a DomainError naming the kind and the parameter.
     """
+    descent_params = {"lower": ("S", "rho"), "upper": ("sigma", "S")}
+    if kind not in descent_params and kind not in _FAMILY_FORMULAS:
+        raise DomainError(f"unknown hull/cover kind {kind!r}")
+    missing = [name for name in descent_params.get(kind, ("alpha",)) if name not in params]
+    if missing:
+        raise DomainError(f"hull/cover kind {kind!r} needs parameter {missing[0]!r}")
     if kind == "lower":
         S, rho = frozenset(params["S"]), params["rho"]
         return hull_interval(build_D_S_rho(S, rho))
@@ -375,8 +382,6 @@ def hull_or_cover(kind: str, **params) -> HullCoverResult:
         sigma, S = params["sigma"], frozenset(params["S"])
         return cover_interval(build_D_sigma_S(sigma, S).diagram)
     alpha = validate_composition(params["alpha"])
-    if kind not in _FAMILY_FORMULAS:
-        raise DomainError(f"unknown hull/cover kind {kind!r}")
     formula, family, transposed = _FAMILY_FORMULAS[kind]
     D = family_diagram(family, alpha)
     return formula(reflect(D, "transpose") if transposed else D)

@@ -44,6 +44,7 @@ __all__ = [
     "weak_leq",
     "inv_mask",
     "covers_up",
+    "left_interval_bfs",
     "weak_interval",
     "descent_class",
     "coset_decompose",
@@ -289,8 +290,8 @@ class WeakInterval:
         built.  A right interval runs the same BFS on the inverses.
         """
         if self.side == LEFT:
-            return tuple(sorted(_left_interval_bfs(self.lo, self.hi)))
-        below = _left_interval_bfs(inverse(self.lo), inverse(self.hi))
+            return tuple(sorted(left_interval_bfs(self.lo, self.hi)))
+        below = left_interval_bfs(inverse(self.lo), inverse(self.hi))
         return tuple(sorted(inverse(g) for g in below))
 
     @property
@@ -308,8 +309,11 @@ class WeakInterval:
         return f"[{format_perm(self.lo)}, {format_perm(self.hi)}]_{self.side}"
 
 
-def _left_interval_bfs(lo: Perm, hi: Perm) -> list[Perm]:
-    """The members of [lo, hi]_L, for lo <=_L hi, in BFS order."""
+def left_interval_bfs(lo: Perm, hi: Perm) -> Iterator[Perm]:
+    """The members of [lo, hi]_L, for lo <=_L hi, in BFS order from lo.
+
+    Lazy, so that a caller with a size cap can stop early.
+    """
     n = len(lo)
     # pair_bit[p][q]: the inv_mask bit of the 0-based position pair p < q.
     pair_bit = [[0] * n for _ in range(n)]
@@ -321,7 +325,7 @@ def _left_interval_bfs(lo: Perm, hi: Perm) -> list[Perm]:
     hi_mask = inv_mask(hi)
     lo_mask = inv_mask(lo)
     seen = {lo_mask}
-    found = [lo]
+    yield lo
     frontier = [(lo, lo_mask)]
     while frontier:
         nxt = []
@@ -339,10 +343,9 @@ def _left_interval_bfs(lo: Perm, hi: Perm) -> list[Perm]:
                 h = list(g)
                 h[p], h[q] = i + 1, i
                 h = tuple(h)
-                found.append(h)
+                yield h
                 nxt.append((h, up))
         frontier = nxt
-    return found
 
 
 def weak_interval(lo: Perm, hi: Perm, side: Side) -> WeakInterval:

@@ -15,7 +15,13 @@ from math import factorial
 from typing import Callable, Iterator
 
 from . import hecke, tableaux
-from .classes import class_tableau_bijection, dp_iso_exists, equiv_class, one_step_moves
+from .classes import (
+    EquivClass,
+    class_tableau_bijection,
+    dp_iso_exists,
+    equiv_class,
+    one_step_moves,
+)
 from .compositions import (
     all_compositions,
     is_peak,
@@ -501,7 +507,56 @@ def _has_two_by_two(D: Diagram) -> bool:
 # --- class suite ---------------------------------------------------------
 
 
+def class_by_moves(I: WeakInterval) -> EquivClass:
+    """The class of a left interval as its closure under one-step moves,
+    by BFS: the definition that ``equiv_class`` is checked against.
+
+    Members are sorted by (lo, hi), the hasse edges are the moves between
+    them, and min and max are the members of least and greatest lower
+    length.  Nothing here assumes that xi is constant or that the lower
+    endpoints form a right interval; ``check_class_oracle`` checks both.
+    """
+    seen = {(I.lo, I.hi): I}
+    edges = set()
+    frontier = [I]
+    while frontier:
+        nxt = []
+        for J in frontier:
+            src = (J.lo, J.hi)
+            for i, K in one_step_moves(J):
+                key = (K.lo, K.hi)
+                edges.add((src, key, i) if src < key else (key, src, i))
+                if key not in seen:
+                    seen[key] = K
+                    nxt.append(K)
+        frontier = nxt
+    keys = sorted(seen)
+    index = {key: k for k, key in enumerate(keys)}
+    hasse = tuple(sorted((index[a], index[b], i) for a, b, i in edges))
+    lengths = [length(lo) for lo, _ in keys]
+    return EquivClass(
+        I.n,
+        tuple(seen[key] for key in keys),
+        compose(I.hi, inverse(I.lo)),
+        hasse,
+        lengths.index(min(lengths)),
+        lengths.index(max(lengths)),
+    )
+
+
 def check_class_oracle(nmax: int, seed: int, samples: int = 500) -> tuple[bool, str]:
+    for n in range(1, min(nmax, 5) + 1):
+        for I in all_left_intervals(n):
+            ref = class_by_moves(I)
+            if any(compose(J.hi, inverse(J.lo)) != ref.xi for J in ref.members):
+                return False, f"xi changes along a move in the class of {I}"
+            bottom, top = ref.min.lo, ref.max.lo
+            if not weak_leq(bottom, top, RIGHT) or [J.lo for J in ref.members] != list(
+                weak_interval(bottom, top, RIGHT).elements
+            ):
+                return False, f"lower endpoints of the class of {I} are not a right interval"
+            if equiv_class(I) != ref:
+                return False, f"translation and move closure disagree at {I}"
     n = min(nmax, 4)
     intervals = list(all_left_intervals(n))
     classes = {}

@@ -1,9 +1,12 @@
-"""Equivalence classes: moves, BFS enumeration, and the tableau bijection."""
+"""Equivalence classes: moves, enumeration by translation, and the tableau
+bijection."""
 
+import dataclasses
 import json
 
 import pytest
 
+from wol import verify
 from wol.classes import (
     class_tableau_bijection,
     class_to_json,
@@ -13,6 +16,7 @@ from wol.classes import (
     hasse_dot,
     one_step_moves,
 )
+from wol.compositions import all_compositions, is_peak
 from wol.descent_diagrams import build_D_S_rho
 from wol.errors import DomainError, ResourceCapError
 from wol.permutations import (
@@ -29,6 +33,8 @@ from wol.permutations import (
     weak_leq,
 )
 from wol.posets import COMPARABLE_NONCOVERING, classify_pair, interval_to_poset
+from wol.tableaux import FAMILY_MODULES, family_class
+from wol.verify import check_class_oracle, class_by_moves
 
 NINE_MEMBERS = [
     ("132456", "142563"),
@@ -125,6 +131,40 @@ def test_equiv_class_matches_reference_bfs():
         assert [(J.lo, J.hi) for J in C.members] == keys
         assert list(C.hasse) == hasse
         assert (C.min_index, C.max_index) == (bottom, top)
+
+
+def test_equiv_class_matches_move_closure():
+    intervals = left_intervals(5)
+    assert len(intervals) == 1899
+    for I in intervals:
+        assert equiv_class(I) == class_by_moves(I), I
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_equiv_class_matches_move_closure_on_families(n):
+    for alpha in all_compositions(n):
+        for kind in FAMILY_MODULES:
+            if kind == "Q" and not is_peak(alpha):
+                continue
+            I = family_class(kind, alpha).min_interval
+            assert equiv_class(I) == class_by_moves(I), (kind, alpha)
+
+
+def test_class_oracle_detects_a_dropped_right_cover(monkeypatch):
+    assert check_class_oracle(4, 0)[0]
+    target = next(I for I in left_intervals(4) if equiv_class(I).hasse)
+    translated = verify.equiv_class
+
+    def dropped_cover(I, cap=None):
+        # the class of one interval loses one right cover
+        C = translated(I, cap)
+        return dataclasses.replace(C, hasse=C.hasse[1:]) if I == target else C
+
+    monkeypatch.setattr(verify, "equiv_class", dropped_cover)
+    assert check_class_oracle(4, 0) == (
+        False,
+        f"translation and move closure disagree at {target}",
+    )
 
 
 def test_equiv_class_singleton():

@@ -177,6 +177,18 @@ def test_resource_error_exit_code(capsys):
     assert payload["error"] == "resource" and payload["partial_count"] == 2
 
 
+def test_class_cap_error_line(capsys):
+    # the exact cap error line is part of the CLI contract
+    code, out, err = capture(
+        ["class", "--lo", "132456", "--hi", "142563", "--cap", "3"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        '{"error": "resource", "message": "class size exceeds cap 3", '
+        '"partial_count": 3}\n'
+    )
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         run(["bogus-command"])

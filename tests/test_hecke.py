@@ -193,6 +193,22 @@ def test_family_hull_goldens():
     assert qc.lower_set == {2, 4, 6}
     with pytest.raises(DomainError):
         hull_or_cover("bogus", alpha=(2,))
+    with pytest.raises(DomainError, match="unknown hull/cover kind 'bogus'"):
+        hull_or_cover("bogus")
+
+
+@pytest.mark.parametrize(
+    "kind, params, missing",
+    [
+        ("lower", {"S": {1}}, "rho"),
+        ("upper", {"S": {1}}, "sigma"),
+        ("V", {}, "alpha"),
+    ],
+    ids=["lower", "upper", "family"],
+)
+def test_hull_or_cover_missing_parameter(kind, params, missing):
+    with pytest.raises(DomainError, match=f"'{kind}'.*'{missing}'"):
+        hull_or_cover(kind, **params)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
