@@ -1,23 +1,24 @@
 """
 The descent-preserving equivalence on left weak Bruhat intervals: one-step
-moves, class enumeration by right translation, the class order, and a
-brute-force isomorphism oracle.
+moves, class enumeration by right translation, the equivalence test by
+the class minimum, and the class order.
 
 Two intervals are equivalent when a poset isomorphism between them
 preserves every left descent set.  The one-step move multiplies an
 interval on the right by s_i whenever (i, i+1) is a comparable
 non-covering pair of its regular poset.  A class is the closure under
 moves; it is enumerated as the right weak interval of its lower
-endpoints, translated by the class's fixed xi, and ``verify`` checks
-that against the closure by BFS.
+endpoints, translated by the class's fixed xi.  Two intervals are
+equivalent exactly when they share the class minimum and xi, and right
+translation is then the isomorphism.  ``verify`` checks the enumeration
+against the closure by BFS and the equivalence test against a search
+for isomorphisms.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 from .diagrams import Diagram, Filling, enumerate_ST, poset_of_filling, reading, reflect
 from .errors import DomainError, ResourceCapError, resolve_cap
@@ -26,25 +27,22 @@ from .permutations import (
     Perm,
     WeakInterval,
     compose,
-    descents,
     format_perm,
     inv_mask,
     inverse,
     left_interval_bfs,
     length,
-    mult_s_left,
     mult_s_right,
     parse_perm,
     weak_interval,
 )
-from .posets import hasse_isos, sigma_L_interval
+from .posets import sigma_L_interval
 
 __all__ = [
     "EquivClass",
     "BijectionReport",
     "one_step_moves",
     "equiv_class",
-    "dp_isos",
     "dp_iso_exists",
     "dp_iso_find",
     "class_tableau_bijection",
@@ -54,7 +52,6 @@ __all__ = [
 ]
 
 CLASS_CAP = 100_000
-DP_ISO_CAP = 60
 
 
 def _move_indices(lo: Perm, hi: Perm) -> list[int]:
@@ -168,54 +165,29 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     return EquivClass(I.n, members, xi, tuple(hasse), index[bottom], index[top])
 
 
-def _dp_colours(I: WeakInterval) -> dict[Perm, tuple[int, frozenset[int]]]:
-    base = length(I.lo)
-    return {g: (length(g) - base, descents(g, LEFT)) for g in I.elements}
+def _class_key(I: WeakInterval) -> tuple[Perm, Perm]:
+    """(sigma_min, xi): the lower endpoint of the class minimum and the
+    class's fixed xi, which together name the class of I."""
+    if I.side != LEFT:
+        raise DomainError("descent-preserving equivalence expects left intervals")
+    xi = compose(I.hi, inverse(I.lo))
+    return _walk_to_end(I.lo, xi, down=True), xi
 
 
-def _dp_hasse(I: WeakInterval, colours: dict) -> dict:
-    """The Hasse diagram of I coloured by (rank, Des_L), with no edge colour.
+def dp_iso_find(I: WeakInterval, J: WeakInterval) -> dict[Perm, Perm] | None:
+    """A descent-preserving poset isomorphism I -> J, or None.
 
-    The lower covers of g in the left order are the s_i g, i in Des_L(g).
+    I and J are equivalent exactly when they have the same class key, and
+    then right translation g -> g gamma with gamma = lo_I^-1 lo_J is the
+    isomorphism; ``verify`` checks it against a search for isomorphisms.
     """
-    members = set(I.elements)
-    diagram = {}
-    for g, colour in colours.items():
-        below = (mult_s_left(g, i) for i in colour[1])
-        diagram[g] = (colour, frozenset((h, None) for h in below if h in members))
-    return diagram
+    if _class_key(I) != _class_key(J):
+        return None
+    gamma = compose(inverse(I.lo), J.lo)
+    return {g: compose(g, gamma) for g in I.elements}
 
 
-def dp_isos(
-    I: WeakInterval, J: WeakInterval, cap: int | None = None
-) -> Iterator[dict[Perm, Perm]]:
-    """Every descent-preserving poset isomorphism I -> J.
-
-    Raises ResourceCapError when either interval has more than ``cap``
-    elements (default 60).
-    """
-    cap = resolve_cap(cap, DP_ISO_CAP)
-    if I.size > cap or J.size > cap:
-        raise ResourceCapError(
-            f"interval size {max(I.size, J.size)} exceeds oracle cap {cap}"
-        )
-    if I.n != J.n or I.size != J.size:
-        return
-    colours_I, colours_J = _dp_colours(I), _dp_colours(J)
-    # Reject on the colour multiset before building covers, which cost more.
-    if Counter(colours_I.values()) != Counter(colours_J.values()):
-        return
-    yield from hasse_isos(_dp_hasse(I, colours_I), _dp_hasse(J, colours_J))
-
-
-def dp_iso_find(
-    I: WeakInterval, J: WeakInterval, cap: int | None = None
-) -> dict[Perm, Perm] | None:
-    """A descent-preserving poset isomorphism I -> J, or None."""
-    return next(dp_isos(I, J, cap), None)
-
-
-def dp_iso_exists(I: WeakInterval, J: WeakInterval, cap: int | None = None) -> bool:
+def dp_iso_exists(I: WeakInterval, J: WeakInterval) -> bool:
     """Whether some descent-preserving poset isomorphism I -> J exists.
 
     >>> I = weak_interval((1, 2, 3), (2, 1, 3), "L")
@@ -223,7 +195,7 @@ def dp_iso_exists(I: WeakInterval, J: WeakInterval, cap: int | None = None) -> b
     >>> dp_iso_exists(I, J)
     False
     """
-    return dp_iso_find(I, J, cap) is not None
+    return _class_key(I) == _class_key(J)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .compositions import (
     set_of,
     validate_composition,
 )
-from .classes import dp_isos
+from .classes import dp_iso_find
 from .descent_diagrams import build_D_S_rho, build_D_sigma_S, family_diagram
 from .diagrams import (
     Diagram,
@@ -272,25 +272,19 @@ def signed_intertwiner(
     return eps
 
 
-def intertwiner_from_dp_iso(
-    I: WeakInterval, J: WeakInterval, cap: int | None = None
-) -> dict[Perm, Perm] | None:
-    """A descent-preserving isomorphism I -> J whose basis bijection
-    intertwines B(I) and B(J), or None when none exists.  The modules are
-    built only once a first isomorphism is found."""
-    MI = None
-    for mapping in dp_isos(I, J, cap):
-        if MI is None:
-            MI, MJ = module_B(I), module_B(J)
-            index_I = {g: k for k, g in enumerate(MI.basis)}
-            index_J = {g: k for k, g in enumerate(MJ.basis)}
-        pairing = [(index_I[g], index_J[h]) for g, h in mapping.items()]
-        phi = np.zeros((MI.dim, MI.dim), dtype=np.int64)
-        for a, b in pairing:
-            phi[b, a] = 1
-        if all(np.array_equal(phi @ A, B @ phi) for A, B in zip(MI.pis, MJ.pis)):
-            return mapping
-    return None
+def intertwiner_from_dp_iso(I: WeakInterval, J: WeakInterval) -> dict[Perm, Perm] | None:
+    """The descent-preserving isomorphism I -> J, right translation by
+    lo_I^-1 lo_J, when its basis bijection intertwines B(I) and B(J);
+    None when I and J are inequivalent or it does not intertwine.  The
+    generators of B have entries 0 and 1, so every sign found by
+    ``signed_intertwiner`` is +1."""
+    mapping = dp_iso_find(I, J)
+    if mapping is None:
+        return None
+    MI, MJ = module_B(I), module_B(J)
+    index_J = {g: k for k, g in enumerate(MJ.basis)}
+    pairing = [(k, index_J[mapping[g]]) for k, g in enumerate(MI.basis)]
+    return mapping if signed_intertwiner(MI, MJ, pairing) is not None else None
 
 
 @dataclass(frozen=True)

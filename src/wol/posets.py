@@ -10,7 +10,7 @@ closure is taken at construction and antisymmetry is checked.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DomainError, OrderError, ResourceCapError, resolve_cap
 from .permutations import (
@@ -28,7 +28,6 @@ __all__ = [
     "chain",
     "antichain",
     "linear_extensions_L",
-    "hasse_isos",
     "is_regular",
     "interval_to_poset",
     "extremes_of_regular",
@@ -160,52 +159,6 @@ def linear_extensions_L(P: Poset, cap: int | None = None) -> tuple[Perm, ...]:
 
     extend(1)
     return tuple(sorted(out))
-
-
-def hasse_isos(A: Mapping, B: Mapping) -> Iterator[dict]:
-    """Every isomorphism of two coloured Hasse diagrams.
-
-    Each diagram maps an element to its colour and the set of its
-    (lower cover, edge colour) pairs.  A bijection is yielded when it
-    keeps element colours and carries each lower-cover set exactly onto
-    the lower-cover set of the image; such a map is a poset isomorphism
-    that also keeps edge colours.  Elements of ``A`` are matched bottom-up,
-    in their given order within each height, against candidates of ``B``
-    in their given order.
-    """
-    if len(A) != len(B):
-        return
-    height: dict = {}
-
-    def level(x) -> int:
-        if x not in height:
-            height[x] = 1 + max((level(c) for c, _ in A[x][1]), default=-1)
-        return height[x]
-
-    order = sorted(A, key=level)
-    targets: dict = {}
-    for y, (colour, _) in B.items():
-        targets.setdefault(colour, []).append(y)
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(k: int) -> Iterator[dict]:
-        if k == len(order):
-            yield dict(mapping)
-            return
-        x = order[k]
-        colour, below = A[x]
-        want = frozenset((mapping[c], e) for c, e in below)
-        for y in targets.get(colour, ()):
-            if y in used or B[y][1] != want:
-                continue
-            mapping[x] = y
-            used.add(y)
-            yield from extend(k + 1)
-            del mapping[x]
-            used.remove(y)
-
-    yield from extend(0)
 
 
 def is_regular(P: Poset) -> bool:

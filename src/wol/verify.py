@@ -11,14 +11,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, combinations
-from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from . import hecke, tableaux
 from .classes import (
     EquivClass,
     class_tableau_bijection,
     dp_iso_exists,
+    dp_iso_find,
     equiv_class,
     one_step_moves,
 )
@@ -68,6 +68,7 @@ from .permutations import (
     length,
     longest_element,
     longest_parabolic,
+    mult_s_left,
     mult_s_right,
     w1,
     weak_interval,
@@ -80,7 +81,6 @@ from .posets import (
     bar,
     classify_pair,
     extremes_of_regular,
-    hasse_isos,
     interval_to_poset,
     is_regular,
     linear_extensions_L,
@@ -111,6 +111,52 @@ def edge_decorated_covers(P: Poset) -> frozenset[tuple[int, int, bool]]:
     return frozenset((a, b, a > b) for a, b in P.covers())
 
 
+def hasse_isos(A: Mapping, B: Mapping) -> Iterator[dict]:
+    """Every isomorphism of two coloured Hasse diagrams.
+
+    Each diagram maps an element to its colour and the set of its
+    (lower cover, edge colour) pairs.  A bijection is yielded when it
+    keeps element colours and carries each lower-cover set exactly onto
+    the lower-cover set of the image; such a map is a poset isomorphism
+    that also keeps edge colours.  Elements of ``A`` are matched bottom-up,
+    in their given order within each height, against candidates of ``B``
+    in their given order.
+    """
+    if len(A) != len(B):
+        return
+    height: dict = {}
+
+    def level(x) -> int:
+        if x not in height:
+            height[x] = 1 + max((level(c) for c, _ in A[x][1]), default=-1)
+        return height[x]
+
+    order = sorted(A, key=level)
+    targets: dict = {}
+    for y, (colour, _) in B.items():
+        targets.setdefault(colour, []).append(y)
+    mapping: dict = {}
+    used: set = set()
+
+    def extend(k: int) -> Iterator[dict]:
+        if k == len(order):
+            yield dict(mapping)
+            return
+        x = order[k]
+        colour, below = A[x]
+        want = frozenset((mapping[c], e) for c, e in below)
+        for y in targets.get(colour, ()):
+            if y in used or B[y][1] != want:
+                continue
+            mapping[x] = y
+            used.add(y)
+            yield from extend(k + 1)
+            del mapping[x]
+            used.remove(y)
+
+    yield from extend(0)
+
+
 def decorated_iso_exists(P: Poset, Q: Poset) -> bool:
     """Isomorphism of posets carrying strict edges to strict edges and
     weak to weak (labels otherwise forgotten)."""
@@ -130,6 +176,32 @@ def decorated_iso_exists(P: Poset, Q: Poset) -> bool:
     if Counter(colours_P.values()) != Counter(colours_Q.values()):
         return False
     return next(hasse_isos(hasse(P, colours_P), hasse(Q, colours_Q)), None) is not None
+
+
+def dp_isos(I: WeakInterval, J: WeakInterval) -> Iterator[dict[Perm, Perm]]:
+    """Every descent-preserving poset isomorphism I -> J, by search over
+    the Hasse diagrams coloured by (rank, Des_L): the oracle for
+    ``dp_iso_exists`` and ``dp_iso_find``, which decide by the class key."""
+
+    def colours(K: WeakInterval) -> dict[Perm, tuple[int, frozenset[int]]]:
+        base = length(K.lo)
+        return {g: (length(g) - base, descents(g, LEFT)) for g in K.elements}
+
+    def hasse(colour: dict) -> dict:
+        # The lower covers of g in the left order are the s_i g, i in Des_L(g).
+        diagram = {}
+        for g, (rank, des) in colour.items():
+            below = (mult_s_left(g, i) for i in des)
+            diagram[g] = ((rank, des), frozenset((h, None) for h in below if h in colour))
+        return diagram
+
+    if I.n != J.n or I.size != J.size:
+        return
+    colours_I, colours_J = colours(I), colours(J)
+    # Reject on the colour multiset before building covers, which cost more.
+    if Counter(colours_I.values()) != Counter(colours_J.values()):
+        return
+    yield from hasse_isos(hasse(colours_I), hasse(colours_J))
 
 
 def lower_descent_intervals(n: int) -> Iterator[tuple[frozenset[int], Perm]]:
@@ -557,27 +629,18 @@ def check_class_oracle(nmax: int, seed: int, samples: int = 500) -> tuple[bool, 
                 return False, f"lower endpoints of the class of {I} are not a right interval"
             if equiv_class(I) != ref:
                 return False, f"translation and move closure disagree at {I}"
-    n = min(nmax, 4)
-    intervals = list(all_left_intervals(n))
-    classes = {}
-    for I in intervals:
-        C = equiv_class(I)
-        classes[(I.lo, I.hi)] = frozenset((J.lo, J.hi) for J in C.members)
-    for a in intervals:
-        for b in intervals:
-            same = (b.lo, b.hi) in classes[(a.lo, a.hi)]
-            if dp_iso_exists(a, b) != same:
-                return False, f"oracle disagrees at {a}, {b}"
+    intervals = list(all_left_intervals(min(nmax, 4)))
+    pairs = [(a, b) for a in intervals for b in intervals]
     if nmax >= 5:
         rng = random.Random(seed)
         five = list(all_left_intervals(5))
-        for _ in range(samples):
-            a, b = rng.choice(five), rng.choice(five)
-            same = (b.lo, b.hi) in {
-                (J.lo, J.hi) for J in equiv_class(a).members
-            }
-            if dp_iso_exists(a, b, cap=factorial(5)) != same:
-                return False, f"sampled oracle disagrees at {a}, {b}"
+        pairs += [(rng.choice(five), rng.choice(five)) for _ in range(samples)]
+    for a, b in pairs:
+        iso = next(dp_isos(a, b), None)
+        if dp_iso_exists(a, b) != (iso is not None):
+            return False, f"oracle disagrees at {a}, {b}"
+        if iso is not None and dp_iso_find(a, b) != iso:
+            return False, f"translation is not the oracle's isomorphism at {a}, {b}"
     return True, "class membership coincides with descent-preserving isomorphism"
 
 
@@ -815,15 +878,8 @@ def check_intertwiner_ladder(nmax: int, seed: int) -> tuple[bool, str]:
             mapping = hecke.intertwiner_from_dp_iso(I, J)
             if mapping is None:
                 return False, f"no intertwiner along move s_{i} from {I}"
-            if any(mult_s_right(g, i) != h for g, h in mapping.items()):
-                # a different iso can also intertwine; translation must too
-                translation = {g: mult_s_right(g, i) for g in I.elements}
-                MI, MJ = hecke.module_B(I), hecke.module_B(J)
-                index_I = {g: k for k, g in enumerate(MI.basis)}
-                index_J = {g: k for k, g in enumerate(MJ.basis)}
-                pairing = [(index_I[g], index_J[h]) for g, h in translation.items()]
-                if hecke.signed_intertwiner(MI, MJ, pairing) is None:
-                    return False, f"translation fails to intertwine at {I}, s_{i}"
+            if mapping != {g: mult_s_right(g, i) for g in I.elements}:
+                return False, f"intertwiner along s_{i} from {I} is not right translation"
     return True, "adjacent class members intertwine by right translation"
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from wol import verify
+from wol import classes, verify
 from wol.classes import (
     class_tableau_bijection,
     class_to_json,
@@ -233,17 +233,37 @@ def test_dp_iso_examples():
     B = weak_interval((1, 2, 3), (1, 3, 2), LEFT)
     assert not dp_iso_exists(A, B)
     mapping = dp_iso_find(I, J)
-    assert mapping is not None
+    gamma = compose(inverse(I.lo), J.lo)
+    assert mapping == {g: compose(g, gamma) for g in I.elements}
     for g, h in mapping.items():
         assert descents(g, LEFT) == descents(h, LEFT)
+    assert dp_iso_find(A, B) is None
+    R = weak_interval((1, 2, 3), (2, 1, 3), RIGHT)
+    for decide in (dp_iso_exists, dp_iso_find):
+        with pytest.raises(DomainError):
+            decide(R, R)
+        with pytest.raises(DomainError):
+            decide(A, R)
 
 
 def test_dp_iso_cap():
-    n = 5
-    big = weak_interval(identity(n), longest_element(n), LEFT)
-    with pytest.raises(ResourceCapError):
-        dp_iso_exists(big, big)
-    assert dp_iso_exists(big, big, cap=200)
+    # The equivalence test has no size cap: the whole of S5 and of S6.
+    for n in (5, 6):
+        big = weak_interval(identity(n), longest_element(n), LEFT)
+        assert dp_iso_exists(big, big)
+    assert big.size == 720
+
+
+def test_class_oracle_detects_a_wrong_class_key(monkeypatch):
+    assert check_class_oracle(4, 0)[0]
+
+    def lower_endpoint_key(I):
+        # the lower endpoint of I in place of the class minimum's
+        return I.lo, compose(I.hi, inverse(I.lo))
+
+    monkeypatch.setattr(classes, "_class_key", lower_endpoint_key)
+    ok, detail = check_class_oracle(4, 0)
+    assert not ok and detail.startswith("oracle disagrees at ")
 
 
 def test_class_tableau_bijection_trivial():

@@ -147,7 +147,7 @@ def test_relabel_classification_full_n5():
 
 
 def test_class_oracle_samples_whole_s5():
-    # Seed 101 samples S5 intervals larger than the default iso cap of 60.
+    # Seed 101 samples S5 intervals of more than 60 elements; no cap applies.
     ok, detail = check_class_oracle(5, 101)
     assert ok, detail
 

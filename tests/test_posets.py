@@ -21,7 +21,6 @@ from wol.posets import (
     chain,
     classify_pair,
     extremes_of_regular,
-    hasse_isos,
     interval_to_poset,
     is_regular,
     linear_extensions_L,
@@ -30,7 +29,7 @@ from wol.posets import (
     relabel,
     sigma_L_interval,
 )
-from wol.verify import all_left_intervals
+from wol.verify import all_left_intervals, hasse_isos
 
 
 def five_node_poset() -> Poset:

@@ -1,4 +1,5 @@
-"""No wol module imports an underscore-prefixed name from another."""
+"""Import boundaries between wol modules: no private names cross modules,
+and the brute-force oracles of ``wol.verify`` stay out of the library."""
 
 import ast
 from pathlib import Path
@@ -6,17 +7,59 @@ from pathlib import Path
 import wol
 
 
+def parsed_modules():
+    for path in sorted(Path(wol.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_private_cross_module_imports():
     offending = []
-    for path in sorted(Path(wol.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             if node.level == 0 and not (node.module or "").startswith("wol"):
                 continue
             offending += [
-                f"{path.name}: {alias.name}"
+                f"{name}: {alias.name}"
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
     assert offending == []
+
+
+def imported_modules(node: ast.AST) -> set[str]:
+    """The dotted names an import statement may read a ``wol`` module from."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    base = ".".join(filter(None, ["wol" if node.level else None, node.module]))
+    return {base} | {f"{base}.{alias.name}" for alias in node.names}
+
+
+def identifiers(node: ast.AST) -> set:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Constant):
+        return {node.value}
+    return set()
+
+
+def test_verify_oracles_stay_out_of_the_library():
+    """Only the CLI imports ``wol.verify``, and only ``verify`` names the
+    isomorphism search ``hasse_isos``."""
+    importers, namers = [], []
+    for name, tree in parsed_modules():
+        nodes = list(ast.walk(tree))
+        if name != "cli.py" and any("wol.verify" in imported_modules(n) for n in nodes):
+            importers.append(name)
+        if name != "verify.py" and any("hasse_isos" in identifiers(n) for n in nodes):
+            namers.append(name)
+    assert importers == [] and namers == []
