@@ -6,7 +6,10 @@ injective-hull / projective-cover interval formulas.
 Matrices always represent the idempotent generators pi_1..pi_{n-1}
 (column j holds the image of basis vector j); the flavor tag records
 whether the construction naturally acted through pi or through
-pi-bar = pi - 1.
+pi-bar = pi - 1.  The relations and intertwiners are checked by exact
+int64 products that read only the nonzero entries of the right-hand
+factor: a column of the generators built here holds at most two
+nonzeros, so a product costs O(dim^2), not the O(dim^3) of a dense one.
 """
 
 from __future__ import annotations
@@ -96,24 +99,54 @@ class HeckeModule:
         return f"HeckeModule(n={self.n}, dim={self.dim}, flavor={self.flavor!r})"
 
 
+def _columns(B: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzero entries of the square matrix B as layers (columns,
+    rows, values), with at most one entry per column in each layer: layer
+    k holds the k-th nonzero of every column that has more than k."""
+    cols, rows = np.nonzero(B.T)  # sorted by column, then by row
+    vals = B[rows, cols]
+    rank = np.arange(cols.size) - np.searchsorted(cols, cols)
+    layers = []
+    for k in range(rank.max(initial=-1) + 1):
+        at = rank == k
+        layers.append((cols[at], rows[at], vals[at]))
+    return layers
+
+
+def _product(A: np.ndarray, layers) -> np.ndarray:
+    """A @ B, exactly in int64, for B given by ``_columns(B)``: column c
+    of the product gains v times column r of A for each entry (r, c, v)
+    of B.  The cost is O(k dim^2) for k the most nonzeros in a column."""
+    out = np.zeros(A.shape, dtype=np.int64)
+    for cols, rows, vals in layers:
+        out[:, cols] += A[:, rows] * vals
+    return out
+
+
 def check_relations(M: HeckeModule) -> None:
-    """Verify idempotence, the braid relation, and far commutation.
+    """Verify that every generator is dim x dim, idempotence, the braid
+    relation, and far commutation.
 
     Raises InternalError on failure; constructors call this and it must
     never fire on well-formed input.
     """
     mats = M.pis
     for i, A in enumerate(mats, start=1):
-        if not np.array_equal(A @ A, A):
+        if A.shape != (M.dim, M.dim):
+            raise InternalError(f"pi_{i} is not a {M.dim} x {M.dim} matrix")
+    layers = [_columns(A) for A in mats]
+    for i, (A, L) in enumerate(zip(mats, layers), start=1):
+        if not np.array_equal(_product(A, L), A):
             raise InternalError(f"pi_{i} is not idempotent")
     for i in range(1, M.n - 1):
         A, B = mats[i - 1], mats[i]
-        if not np.array_equal(A @ B @ A, B @ A @ B):
+        LA, LB = layers[i - 1], layers[i]
+        if not np.array_equal(_product(_product(A, LB), LA), _product(_product(B, LA), LB)):
             raise InternalError(f"braid relation fails at {i}")
     for i in range(1, M.n - 1):
         for j in range(i + 2, M.n):
             A, B = mats[i - 1], mats[j - 1]
-            if not np.array_equal(A @ B, B @ A):
+            if not np.array_equal(_product(A, layers[j - 1]), _product(B, layers[i - 1])):
                 raise InternalError(f"far commutation fails at ({i}, {j})")
 
 
@@ -266,8 +299,9 @@ def signed_intertwiner(
     phi = np.zeros((dim, dim), dtype=np.int64)
     for a in range(dim):
         phi[to2[a], a] = eps[a]
+    phi_layers = _columns(phi)
     for A, B in zip(M1.pis, M2.pis):
-        if not np.array_equal(phi @ A, B @ phi):
+        if not np.array_equal(_product(phi, _columns(A)), _product(B, phi_layers)):
             return None
     return eps
 

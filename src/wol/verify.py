@@ -13,6 +13,8 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import Callable, Iterator, Mapping
 
+import numpy as np
+
 from . import hecke, tableaux
 from .classes import (
     EquivClass,
@@ -788,22 +790,55 @@ def check_tableau_bijection_sweep(nmax: int, seed: int) -> tuple[bool, str]:
 # --- module suite --------------------------------------------------------
 
 
+def dense_relation_failure(M: hecke.HeckeModule) -> str | None:
+    """The first 0-Hecke relation that M's generators break, in the words
+    of ``hecke.check_relations``, or None: the same three relations by
+    dense matrix products, the oracle of the library's sparse products."""
+    mats = M.pis
+    for i, A in enumerate(mats, start=1):
+        if not np.array_equal(A @ A, A):
+            return f"pi_{i} is not idempotent"
+    for i in range(1, M.n - 1):
+        A, B = mats[i - 1], mats[i]
+        if not np.array_equal(A @ B @ A, B @ A @ B):
+            return f"braid relation fails at {i}"
+    for i in range(1, M.n - 1):
+        for j in range(i + 2, M.n):
+            A, B = mats[i - 1], mats[j - 1]
+            if not np.array_equal(A @ B, B @ A):
+                return f"far commutation fails at ({i}, {j})"
+    return None
+
+
 def check_module_relations(nmax: int, seed: int) -> tuple[bool, str]:
-    # Relation checking runs inside every constructor.
+    # Relation checking runs inside every constructor; the dense oracle
+    # checks every module with n <= 4 once more.
+    small = []
     for n in range(1, min(nmax, 6) + 1):
         for alpha in all_compositions(n):
             s_comp = frozenset(range(1, n)) - set_of(alpha)
-            hecke.module_B(descent_class(s_comp, s_comp, n))
             sigma = longest_parabolic(s_comp, n)
-            hecke.module_B(weak_interval(sigma, sigma, LEFT))
+            built = [
+                hecke.module_B(descent_class(s_comp, s_comp, n)),
+                hecke.module_B(weak_interval(sigma, sigma, LEFT)),
+            ]
             if is_peak(alpha):
-                hecke.module_SPIT(alpha)
+                built.append(hecke.module_SPIT(alpha))
+            if n <= 4:
+                small += built
     n = min(nmax, 4)
     for I in all_left_intervals(n):
         M = hecke.module_B(I)
-        hecke.module_Bbar(I)
-        hecke.module_M(interval_to_poset(I))
-        hecke.twist_theta_chi(M)
+        small += [
+            M,
+            hecke.module_Bbar(I),
+            hecke.module_M(interval_to_poset(I)),
+            hecke.twist_theta_chi(M),
+        ]
+    for M in small:
+        failure = dense_relation_failure(M)
+        if failure is not None:
+            return False, f"{M!r}: {failure}"
     return True, "all constructed modules satisfy the 0-Hecke relations"
 
 

@@ -1,6 +1,7 @@
 """0-Hecke modules: constructions, relations, twists, hulls, and covers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from wol import hecke
 from wol.compositions import all_compositions, comp_of, is_peak, set_of
 
 from wol.diagrams import reading
-from wol.errors import DomainError, OrderError
+from wol.errors import DomainError, InternalError, OrderError
 from wol.hecke import (
     HeckeModule,
     check_relations,
@@ -38,7 +39,12 @@ from wol.permutations import (
 )
 from wol.posets import interval_to_poset
 from wol.tableaux import enumerate_family, sink_source
-from wol.verify import all_left_intervals, check_hull_cover_families, family_closed_form
+from wol.verify import (
+    all_left_intervals,
+    check_hull_cover_families,
+    dense_relation_failure,
+    family_closed_form,
+)
 
 
 def test_singleton_module_is_descent_indicator():
@@ -271,3 +277,99 @@ def test_relation_checker_detects_breakage():
     )
     with pytest.raises(Exception):
         check_relations(bad)
+
+
+def sparse_case(name: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A random int64 pair (A, B) whose B has the property ``name``."""
+    dim = 1 if name == "dim 1" else 9
+    A = rng.integers(-9, 10, size=(dim, dim))
+    B = rng.integers(-4, 5, size=(dim, dim)) * (rng.random((dim, dim)) < 0.3)
+    if name == "negative entries":
+        B = -np.abs(B) + np.eye(dim, dtype=np.int64)
+    elif name == "empty columns":
+        B[:, ::2] = 0
+    elif name == "all-zero B":
+        B[:] = 0
+    elif name == "dense columns":
+        B[:, 1] = rng.integers(1, 5, size=dim)
+        B[:4, 3] = [-1, 2, -3, 4]
+    return A, B
+
+
+@pytest.mark.parametrize(
+    "name", ["negative entries", "empty columns", "all-zero B", "dense columns", "dim 1"]
+)
+def test_sparse_product_equals_dense(name):
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        A, B = sparse_case(name, rng)
+        layers = hecke._columns(B)
+        if name == "all-zero B":
+            assert layers == []
+        if name == "dense columns":
+            assert len(layers) >= 4
+        got = hecke._product(A, layers)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, A @ B)
+
+
+def four_strand_module(pi_1, pi_2, pi_3) -> HeckeModule:
+    pis = tuple(np.array(A, dtype=np.int64) for A in (pi_1, pi_2, pi_3))
+    return HeckeModule(4, ("a", "b"), pis, "pi")
+
+
+# Idempotents of the plane with AB = A and BA = B: braids with the
+# identity, but neither braids nor commutes with each other.
+FLAT_A = [[1, 1], [0, 0]]
+FLAT_B = [[0, 0], [1, 1]]
+IDENTITY = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "pis, relation",
+    [
+        ((FLAT_A, [[2, 0], [0, 1]], IDENTITY), "pi_2 is not idempotent"),
+        ((FLAT_A, FLAT_B, IDENTITY), "braid relation fails at 1"),
+        ((FLAT_A, IDENTITY, FLAT_B), r"far commutation fails at \(1, 3\)"),
+    ],
+    ids=["idempotence", "braid", "far commutation"],
+)
+def test_relation_checker_names_the_broken_relation(pis, relation):
+    M = four_strand_module(*pis)
+    with pytest.raises(InternalError, match=relation):
+        check_relations(M)
+    assert re.fullmatch(relation, dense_relation_failure(M))
+
+
+@pytest.mark.parametrize(
+    "pi_1", [[[1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0]], [[1]]], ids=["2x3", "zero 2x3", "1x1"]
+)
+def test_relation_checker_rejects_a_generator_of_the_wrong_shape(pi_1):
+    M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int64),), "pi")
+    with pytest.raises(InternalError, match="pi_1 is not a 2 x 2 matrix"):
+        check_relations(M)
+
+
+def test_signed_intertwiner_rejects_a_non_intertwining_pairing():
+    # One-dimensional modules with different descent sets: no edge
+    # constrains the sign, so the product check decides.
+    one_dim = [module_B(weak_interval(g, g, LEFT)) for g in ((1, 2, 4, 3), (2, 1, 3, 4))]
+    assert signed_intertwiner(one_dim[0], one_dim[1], [(0, 0)]) is None
+    assert signed_intertwiner(one_dim[0], one_dim[0], [(0, 0)]) == {0: 1}
+    I = weak_interval((1, 2, 3, 4), (2, 3, 1, 4), LEFT)
+    M = module_B(I)
+    swapped = [(k, M.dim - 1 - k) for k in range(M.dim)]
+    assert signed_intertwiner(M, M, swapped) is None
+
+
+def test_full_s6_module_twists_onto_the_reversed_interval():
+    # [e, w0]_L is its own reverse, so the twist of B matches B along g -> g w0
+    w0 = longest_element(6)
+    I = weak_interval(tuple(range(1, 7)), w0, LEFT)
+    M = module_B(I)
+    assert M.dim == 720
+    T = twist_theta_chi(M)
+    index = {g: k for k, g in enumerate(M.basis)}
+    pairing = [(k, index[compose(g, w0)]) for k, g in enumerate(T.basis)]
+    eps = signed_intertwiner(T, M, pairing)
+    assert eps is not None and len(eps) == 720

@@ -63,3 +63,17 @@ def test_verify_oracles_stay_out_of_the_library():
         if name != "verify.py" and any("hasse_isos" in identifiers(n) for n in nodes):
             namers.append(name)
     assert importers == [] and namers == []
+
+
+def test_dense_products_stay_in_verify():
+    """The library multiplies generators by sparse columns; the dense
+    ``@``, ``np.dot`` and ``np.matmul`` are the oracle's, in ``verify``."""
+    offending = []
+    for name, tree in parsed_modules():
+        if name == "verify.py":
+            continue
+        for node in ast.walk(tree):
+            named = isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            if isinstance(node, ast.MatMult) or named and identifiers(node) & {"dot", "matmul"}:
+                offending.append(f"{name}:{getattr(node, 'lineno', '?')}")
+    assert offending == []
