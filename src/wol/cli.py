@@ -31,9 +31,12 @@ from .permutations import (
     weak_interval,
 )
 from .tableaux import family_class
-from .verify import SUITES, run_suite
 
 USAGE_EXIT = 3
+
+# The keys of ``verify.SUITES``, in order.  Kept here so that building the
+# parser does not import the oracles: only ``wol verify`` loads them.
+SUITE_NAMES = ("perm", "poset", "diagram", "class", "family", "module")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
 
     p = sub.add_parser("verify", help="run oracle sweeps")
-    p.add_argument("--suite", default="all", choices=("all", *SUITES))
+    p.add_argument("--suite", default="all", choices=("all", *SUITE_NAMES))
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
@@ -202,6 +205,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     rows = run_suite(args.suite, args.nmax, args.seed)
     width = max(len(name) for name, _, _ in rows)
     failures = 0

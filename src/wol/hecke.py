@@ -124,13 +124,15 @@ def _product(A: np.ndarray, layers) -> np.ndarray:
 
 
 def check_relations(M: HeckeModule) -> None:
-    """Verify that every generator is dim x dim, idempotence, the braid
-    relation, and far commutation.
+    """Verify that there are n - 1 generators, each dim x dim,
+    idempotence, the braid relation, and far commutation.
 
     Raises InternalError on failure; constructors call this and it must
     never fire on well-formed input.
     """
     mats = M.pis
+    if len(mats) != M.n - 1:
+        raise InternalError(f"expected {M.n - 1} generators for n = {M.n}, got {len(mats)}")
     for i, A in enumerate(mats, start=1):
         if A.shape != (M.dim, M.dim):
             raise InternalError(f"pi_{i} is not a {M.dim} x {M.dim} matrix")
@@ -254,6 +256,27 @@ def twist_theta_chi(M: HeckeModule) -> HeckeModule:
     return out
 
 
+def _bijection(pairing: Sequence[tuple[int, int]], dim: int) -> dict[int, int]:
+    """``pairing`` as a dict, checked in O(dim) to be a bijection of
+    range(dim); a DomainError says what is wrong otherwise."""
+    indices = range(dim)
+    to2: dict[int, int] = {}
+    images: set[int] = set()
+    for k, image in pairing:
+        if k not in indices or image not in indices:
+            raise DomainError(f"pairing ({k}, {image}) leaves the basis indices 0..{dim - 1}")
+        if k in to2:
+            raise DomainError(f"pairing sends basis index {k} twice")
+        if image in images:
+            raise DomainError(f"pairing sends two basis indices to {image}")
+        to2[k] = image
+        images.add(image)
+    if len(to2) != dim:
+        missing = next(k for k in indices if k not in to2)
+        raise DomainError(f"pairing misses basis index {missing}")
+    return to2
+
+
 def signed_intertwiner(
     M1: HeckeModule, M2: HeckeModule, pairing: Sequence[tuple[int, int]]
 ) -> dict[int, int] | None:
@@ -262,12 +285,13 @@ def signed_intertwiner(
     generators, or None.
 
     Signs are propagated from connected components and then fully
-    verified.
+    verified.  A pairing that is not a bijection of the basis indices
+    raises DomainError.
     """
     if M1.n != M2.n or M1.dim != M2.dim:
         return None
-    to2 = dict(pairing)
     dim = M1.dim
+    to2 = _bijection(pairing, dim)
     # Relative signs between basis vectors linked by any generator entry.
     edges: dict[int, list[tuple[int, int]]] = {k: [] for k in range(dim)}
     for A, B in zip(M1.pis, M2.pis):
@@ -449,7 +473,15 @@ def module_from_json(text: str) -> HeckeModule:
         parse_perm(b) if isinstance(b, str) else filling_from_json(json.dumps(b))
         for b in data["basis"]
     )
+    n = int(data["n"])
     pis = tuple(np.array(A, dtype=np.int64) for A in data["pi"])
-    M = HeckeModule(int(data["n"]), basis, pis, data["flavor"])
+    if len(pis) != n - 1:
+        raise DomainError(f"a module for n = {n} needs {n - 1} generators, got {len(pis)}")
+    for i, A in enumerate(pis, start=1):
+        if A.shape != (len(basis), len(basis)):
+            raise DomainError(
+                f"pi_{i} has shape {A.shape}, not {len(basis)} x {len(basis)} for the basis"
+            )
+    M = HeckeModule(n, basis, pis, data["flavor"])
     check_relations(M)
     return M

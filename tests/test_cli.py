@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wol
 from wol.cli import run
 
 
@@ -200,6 +202,41 @@ def test_verify_suite(capsys):
     code, out, _ = capture(["verify", "--suite", "perm", "--nmax", "3"], capsys)
     assert code == 0
     assert "6/6 checks passed" in out
+
+
+def test_verify_rejects_an_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--suite", "bogus"])
+    assert info.value.code == 3
+    assert capsys.readouterr() == (
+        "",
+        '{"error": "usage", "message": "argument --suite: invalid choice: \'bogus\' '
+        "(choose from 'all', 'perm', 'poset', 'diagram', 'class', 'family', 'module')\"}\n",
+    )
+
+
+# Run in a fresh interpreter: in this one other tests have imported wol.verify.
+IMPORT_PATH_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+import wol, wol.cli
+with redirect_stdout(io.StringIO()):
+    wol.cli.run(["family", "--kind", "P", "--alpha", "(2,1)"])
+    after_family = "wol.verify" in sys.modules
+    wol.cli.run(["verify", "--suite", "perm", "--nmax", "2"])
+    after_verify = "wol.verify" in sys.modules
+from wol import verify
+print(after_family, after_verify, wol.cli.SUITE_NAMES == tuple(verify.SUITES))
+"""
+
+
+def test_only_the_verify_command_imports_the_oracles():
+    env = {**os.environ, "PYTHONPATH": str(Path(wol.__file__).parents[1])}
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_PROBE], capture_output=True, text=True, env=env
+    )
+    assert (probe.returncode, probe.stderr) == (0, "")
+    assert probe.stdout == "False True True\n"
 
 
 @pytest.mark.parametrize("nmax", [0, -3])

@@ -20,6 +20,7 @@ from wol.hecke import (
     module_Bbar,
     module_M,
     module_SPIT,
+    module_from_json,
     module_to_json,
     projective_decomposition,
     signed_intertwiner,
@@ -348,6 +349,42 @@ def test_relation_checker_rejects_a_generator_of_the_wrong_shape(pi_1):
     M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int64),), "pi")
     with pytest.raises(InternalError, match="pi_1 is not a 2 x 2 matrix"):
         check_relations(M)
+
+
+def test_relation_checker_counts_the_generators():
+    M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int64),), "pi")
+    with pytest.raises(InternalError, match="expected 2 generators for n = 3, got 1"):
+        check_relations(M)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3, "basis": ["123"], "pi": [[[1]]]}, "n = 3 needs 2 generators, got 1"),
+        ({"n": 2, "basis": ["12"], "pi": [[[1]], [[1]], [[0]]]}, "n = 2 needs 1 generators, got 3"),
+        ({"n": 2, "basis": ["12", "21"], "pi": [[[1, 0, 0], [0, 1, 0]]]}, r"pi_1 has shape \(2, 3\)"),
+        ({"n": 2, "basis": ["12"], "pi": [[[1, 0], [0, 1]]]}, r"pi_1 has shape \(2, 2\), not 1 x 1"),
+    ],
+    ids=["too few", "too many", "not square", "wrong size"],
+)
+def test_module_from_json_rejects_malformed_generators(data, message):
+    with pytest.raises(DomainError, match=message):
+        module_from_json(json.dumps({"flavor": "pi", **data}))
+
+
+def test_signed_intertwiner_rejects_a_pairing_that_is_not_a_bijection():
+    M = module_B(weak_interval((1, 2, 3), (3, 2, 1), LEFT))
+    assert M.dim == 6
+    many_to_one = list(enumerate((1, 1, 3, 3, 5, 5)))
+    with pytest.raises(DomainError, match="sends two basis indices to 1"):
+        signed_intertwiner(M, M, many_to_one)
+    with pytest.raises(DomainError, match="misses basis index 5"):
+        signed_intertwiner(M, M, [(k, k) for k in range(5)])
+    with pytest.raises(DomainError, match="sends basis index 0 twice"):
+        signed_intertwiner(M, M, [(0, 0), (0, 1)] + [(k, k) for k in range(2, 6)])
+    with pytest.raises(DomainError, match=r"pairing \(5, 6\) leaves the basis indices 0..5"):
+        signed_intertwiner(M, M, [(k, k + 1) for k in range(6)])
+    assert signed_intertwiner(M, M, [(k, k) for k in range(6)]) == {k: 1 for k in range(6)}
 
 
 def test_signed_intertwiner_rejects_a_non_intertwining_pairing():
