@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .diagrams import Diagram, Filling, enumerate_ST, poset_of_filling, reading, reflect
-from .errors import DomainError, ResourceCapError, resolve_cap
+from .errors import DomainError, InternalError, ResourceCapError, resolve_cap
 from .permutations import (
     LEFT,
     Perm,
@@ -30,10 +30,9 @@ from .permutations import (
     format_perm,
     inv_mask,
     inverse,
-    left_interval_bfs,
     length,
-    mult_s_right,
     parse_perm,
+    right_interval_bfs,
     weak_interval,
 )
 from .posets import sigma_L_interval
@@ -43,6 +42,7 @@ __all__ = [
     "BijectionReport",
     "one_step_moves",
     "equiv_class",
+    "class_key",
     "dp_iso_exists",
     "dp_iso_find",
     "class_tableau_bijection",
@@ -54,33 +54,26 @@ __all__ = [
 CLASS_CAP = 100_000
 
 
-def _move_indices(lo: Perm, hi: Perm) -> list[int]:
-    """The i with a one-step move out of [lo, hi]_L, read off the windows."""
-    moves = []
-    for i in range(1, len(lo)):
-        a, b, c, d = lo[i - 1], lo[i], hi[i - 1], hi[i]
-        if (a < b) != (c < d):
-            continue  # incomparable
-        if a > b:
-            a, b, c, d = b, a, d, c
-        if any(a < x < b and c < y < d for x, y in zip(lo, hi)):
-            moves.append(i)
-    return moves
+def _has_move(lo: Perm, hi: Perm, i: int) -> bool:
+    """Whether [lo, hi]_L has a one-step move at i, in O(n): (i, i+1) is
+    comparable when lo and hi order it the same way, and not covering
+    when some k lies strictly between it in both lo and hi."""
+    a, b, c, d = lo[i - 1], lo[i], hi[i - 1], hi[i]
+    if (a < b) != (c < d):
+        return False  # incomparable
+    if a > b:
+        a, b, c, d = b, a, d, c
+    return b - a > 1 and d - c > 1 and any(a < x < b and c < y < d for x, y in zip(lo, hi))
 
 
 def one_step_moves(I: WeakInterval) -> list[tuple[int, WeakInterval]]:
-    """All legal moves (i, I s_i) out of a left interval [sigma, rho]_L.
-
-    A move at i exists exactly when (i, i+1) is a comparable pair that is
-    not a covering pair in the interval's poset, x <_P y iff
-    sigma(x) < sigma(y) and rho(x) < rho(y).  That is read off the
-    windows in O(n) per i: the pair is comparable when sigma and rho
-    order it the same way, and not covering when some k lies strictly
-    between it in both sigma and rho.
-    """
+    """All legal moves (i, I s_i) out of a left interval [sigma, rho]_L:
+    one at each i where (i, i+1) is a comparable pair that is not a
+    covering pair in the interval's poset, x <_P y iff sigma(x) < sigma(y)
+    and rho(x) < rho(y)."""
     if I.side != LEFT:
         raise DomainError("one_step_moves expects a left interval")
-    return [(i, I.translate_right(i)) for i in _move_indices(I.lo, I.hi)]
+    return [(i, I.translate_right(i)) for i in range(1, I.n) if _has_move(I.lo, I.hi, i)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +108,21 @@ class EquivClass:
 def _walk_to_end(lo: Perm, xi: Perm, down: bool) -> Perm:
     """The lower endpoint of the class minimum (down) or maximum (up),
     reached from [lo, xi lo]_L by moves at right descents (down) or
-    ascents (up) of the lower endpoint."""
-    while True:
-        hi = compose(xi, lo)
-        i = next((i for i in _move_indices(lo, hi) if (lo[i - 1] > lo[i]) == down), None)
-        if i is None:
-            return lo
-        lo = mult_s_right(lo, i)
+    ascents (up) of the lower endpoint, taken in any order.  A move at i
+    swaps positions i and i+1 of both windows and keeps the pairs
+    (lo(k), hi(k)), so only the moves at i-1 and i+1 change: O(n) a step."""
+    lo = list(lo)
+    hi = [xi[x - 1] for x in lo]
+    n = len(lo)
+    todo = list(range(1, n))
+    while todo:
+        i = todo.pop()
+        if (lo[i - 1] > lo[i]) != down or not _has_move(lo, hi, i):
+            continue
+        lo[i - 1], lo[i] = lo[i], lo[i - 1]
+        hi[i - 1], hi[i] = hi[i], hi[i - 1]
+        todo += [j for j in (i - 1, i + 1) if 0 < j < n]
+    return tuple(lo)
 
 
 def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
@@ -131,10 +132,11 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     interval [sigma_min, sigma_max]_R, and each member is
     [lambda, xi lambda]_L with the fixed xi = hi lo^-1.  So the class is
     found by walking down and up by moves to sigma_min and sigma_max and
-    listing that right interval; its Hasse edges are the right covers
-    lambda -> lambda s_i inside it.  The closure under one-step moves by
-    BFS, which defines the class, is ``verify.class_by_moves``; verify
-    checks this enumeration against it.
+    listing that right interval with ``right_interval_bfs``, whose covers
+    are the Hasse edges.  By length additivity lambda <=_L xi lambda iff
+    no value pair inverted by lambda is inverted by xi: an O(1) check on
+    the BFS mask.  The closure under one-step moves by BFS, which defines
+    the class, is ``verify.class_by_moves``; verify checks against it.
 
     Raises ResourceCapError once the class passes ``cap`` members.
     """
@@ -142,30 +144,26 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     if I.side != LEFT:
         raise DomainError("equiv_class expects a left interval")
     xi = compose(I.hi, inverse(I.lo))
+    xi_mask = inv_mask(xi)
     bottom = _walk_to_end(I.lo, xi, down=True)
     top = _walk_to_end(I.lo, xi, down=False)
-    los = []
-    for g in left_interval_bfs(inverse(bottom), inverse(top)):
+    found = []
+    for lo, mask, covers in right_interval_bfs(bottom, top):
         # The class always has its first member, so a cap below 1 acts as 1.
-        if len(los) >= max(cap, 1):
-            raise ResourceCapError(f"class size exceeds cap {cap}", count=len(los))
-        los.append(inverse(g))
-    los.sort()
-    index = {lo: k for k, lo in enumerate(los)}
-    members = tuple(WeakInterval(LEFT, lo, compose(xi, lo)) for lo in los)
-    # lo s_i at an ascent i of lo is lexicographically later, so a < b.
-    hasse = []
-    for a, lo in enumerate(los):
-        for i in range(1, I.n):
-            if lo[i - 1] < lo[i]:
-                b = index.get(mult_s_right(lo, i))
-                if b is not None:
-                    hasse.append((a, b, i))
-    hasse.sort()
-    return EquivClass(I.n, members, xi, tuple(hasse), index[bottom], index[top])
+        if len(found) >= max(cap, 1):
+            raise ResourceCapError(f"class size exceeds cap {cap}", count=len(found))
+        if mask & xi_mask:
+            raise InternalError(f"{format_perm(lo)} is not below xi times it in the class of {I}")
+        found.append((lo, mask, covers))
+    found.sort()
+    index = {mask: k for k, (_, mask, _) in enumerate(found)}
+    hasse = sorted((a, index[up], i) for a, (_, _, covers) in enumerate(found) for i, up in covers)
+    members = tuple(WeakInterval.unchecked(LEFT, lo, compose(xi, lo)) for lo, _, _ in found)
+    # A right cover is lexicographically later: sigma_min first, sigma_max last.
+    return EquivClass(I.n, members, xi, tuple(hasse), 0, len(members) - 1)
 
 
-def _class_key(I: WeakInterval) -> tuple[Perm, Perm]:
+def class_key(I: WeakInterval) -> tuple[Perm, Perm]:
     """(sigma_min, xi): the lower endpoint of the class minimum and the
     class's fixed xi, which together name the class of I."""
     if I.side != LEFT:
@@ -181,7 +179,7 @@ def dp_iso_find(I: WeakInterval, J: WeakInterval) -> dict[Perm, Perm] | None:
     then right translation g -> g gamma with gamma = lo_I^-1 lo_J is the
     isomorphism; ``verify`` checks it against a search for isomorphisms.
     """
-    if _class_key(I) != _class_key(J):
+    if class_key(I) != class_key(J):
         return None
     gamma = compose(inverse(I.lo), J.lo)
     return {g: compose(g, gamma) for g in I.elements}
@@ -195,7 +193,7 @@ def dp_iso_exists(I: WeakInterval, J: WeakInterval) -> bool:
     >>> dp_iso_exists(I, J)
     False
     """
-    return _class_key(I) == _class_key(J)
+    return class_key(I) == class_key(J)
 
 
 @dataclass(frozen=True)

@@ -473,15 +473,21 @@ def module_from_json(text: str) -> HeckeModule:
         parse_perm(b) if isinstance(b, str) else filling_from_json(json.dumps(b))
         for b in data["basis"]
     )
-    n = int(data["n"])
-    pis = tuple(np.array(A, dtype=np.int64) for A in data["pi"])
-    if len(pis) != n - 1:
-        raise DomainError(f"a module for n = {n} needs {n - 1} generators, got {len(pis)}")
-    for i, A in enumerate(pis, start=1):
-        if A.shape != (len(basis), len(basis)):
-            raise DomainError(
-                f"pi_{i} has shape {A.shape}, not {len(basis)} x {len(basis)} for the basis"
-            )
-    M = HeckeModule(n, basis, pis, data["flavor"])
+    n, dim = int(data["n"]), len(basis)
+    if n < 1:
+        raise DomainError(f"a module needs n >= 1, got n = {n}")
+    if len(set(basis)) != dim:
+        raise DomainError("the basis repeats a label")
+    if len(data["pi"]) != n - 1:
+        raise DomainError(f"a module for n = {n} needs {n - 1} generators, got {len(data['pi'])}")
+    pis = []
+    for i, A in enumerate(data["pi"], start=1):
+        try:
+            pis.append(np.array(A, dtype=np.int64))
+        except ValueError:
+            raise DomainError(f"pi_{i} is not a rectangular integer matrix") from None
+        if pis[-1].shape != (dim, dim):
+            raise DomainError(f"pi_{i} has shape {pis[-1].shape}, not {dim} x {dim} for the basis")
+    M = HeckeModule(n, basis, tuple(pis), data["flavor"])
     check_relations(M)
     return M

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations as _itertools_permutations
+from itertools import combinations, permutations as _itertools_permutations
 from typing import Iterable, Iterator, Literal
 
 from .errors import DomainError, OrderError
@@ -44,7 +44,7 @@ __all__ = [
     "weak_leq",
     "inv_mask",
     "covers_up",
-    "left_interval_bfs",
+    "right_interval_bfs",
     "weak_interval",
     "descent_class",
     "coset_decompose",
@@ -256,9 +256,9 @@ def covers_up(u: Perm, side: Side) -> list[tuple[int, Perm]]:
 class WeakInterval:
     """A nonempty weak Bruhat interval [lo, hi] with a side tag.
 
-    The order relation lo <= hi is checked at construction; the element
-    list is computed on demand and cached, sorted lexicographically by
-    one-line notation.
+    The order relation lo <= hi is checked at construction, except by
+    :meth:`unchecked`; the element list is computed on demand and cached,
+    sorted lexicographically by one-line notation.
     """
 
     side: Side
@@ -279,20 +279,21 @@ class WeakInterval:
     def n(self) -> int:
         return len(self.lo)
 
+    @classmethod
+    def unchecked(cls, side: Side, lo: Perm, hi: Perm) -> "WeakInterval":
+        """[lo, hi] built without the checks of construction, for a caller that knows lo <= hi."""
+        interval = object.__new__(cls)
+        interval.__dict__.update(side=side, lo=lo, hi=hi)
+        return interval
+
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
-        """The members, sorted, by a BFS over upward covers from lo.
-
-        The BFS carries each member's inversion mask.  A left cover
-        s_i g sets exactly the bit of the position pair holding the
-        values i, i+1, so it stays below hi iff inv_mask(hi) has that
-        bit, and the new mask names the member before its window is
-        built.  A right interval runs the same BFS on the inverses.
-        """
-        if self.side == LEFT:
-            return tuple(sorted(left_interval_bfs(self.lo, self.hi)))
-        below = left_interval_bfs(inverse(self.lo), inverse(self.hi))
-        return tuple(sorted(inverse(g) for g in below))
+        """The members, sorted, by :func:`right_interval_bfs`; a left
+        interval runs it on the inverses."""
+        if self.side == RIGHT:
+            return tuple(sorted(g for g, _, _ in right_interval_bfs(self.lo, self.hi)))
+        above = right_interval_bfs(inverse(self.lo), inverse(self.hi))
+        return tuple(sorted(inverse(g) for g, _, _ in above))
 
     @property
     def size(self) -> int:
@@ -309,43 +310,40 @@ class WeakInterval:
         return f"[{format_perm(self.lo)}, {format_perm(self.hi)}]_{self.side}"
 
 
-def left_interval_bfs(lo: Perm, hi: Perm) -> Iterator[Perm]:
-    """The members of [lo, hi]_L, for lo <=_L hi, in BFS order from lo.
+def right_interval_bfs(lo: Perm, hi: Perm) -> Iterator[tuple[Perm, int, list]]:
+    """The members of [lo, hi]_R, for lo <=_R hi, in BFS order from lo.
 
+    Yields (g, mask, covers), mask = inv_mask(inverse(g)): the bit of the
+    value pair a < b is set when b stands left of a.  A cover g -> g s_i
+    at an ascent i sets the bit of the pair (g(i), g(i+1)), so it stays
+    below hi iff hi's mask has that bit.  covers lists (i, mask of g s_i)
+    for all such covers, into members seen before too: the Hasse edges.
     Lazy, so that a caller with a size cap can stop early.
     """
     n = len(lo)
-    # pair_bit[p][q]: the inv_mask bit of the 0-based position pair p < q.
-    pair_bit = [[0] * n for _ in range(n)]
-    bit = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            pair_bit[p][q] = 1 << bit
-            bit += 1
-    hi_mask = inv_mask(hi)
-    lo_mask = inv_mask(lo)
+    # pair_bit[a][b]: the mask bit of the value pair a < b, in inv_mask's pair order.
+    pair_bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
+        pair_bit[a][b] = 1 << k
+    hi_mask = inv_mask(inverse(hi))
+    lo_mask = inv_mask(inverse(lo))
     seen = {lo_mask}
-    yield lo
-    frontier = [(lo, lo_mask)]
-    while frontier:
-        nxt = []
-        for g, mask in frontier:
-            where = inverse(g)
-            for i in range(1, n):
-                p, q = where[i - 1] - 1, where[i] - 1
-                if p > q:  # i is a left descent of g
-                    continue
-                b = pair_bit[p][q]
-                up = mask | b
-                if not hi_mask & b or up in seen:
-                    continue
+    queue = [(lo, lo_mask)]
+    for g, mask in queue:  # the loop reads the members it appends
+        covers = []
+        for i in range(1, n):
+            a, b = g[i - 1], g[i]
+            if a > b:  # i is a right descent of g
+                continue
+            bit = pair_bit[a][b]
+            if not hi_mask & bit:
+                continue
+            up = mask | bit
+            covers.append((i, up))
+            if up not in seen:
                 seen.add(up)
-                h = list(g)
-                h[p], h[q] = i + 1, i
-                h = tuple(h)
-                yield h
-                nxt.append((h, up))
-        frontier = nxt
+                queue.append((g[: i - 1] + (b, a) + g[i + 1 :], up))
+        yield g, mask, covers
 
 
 def weak_interval(lo: Perm, hi: Perm, side: Side) -> WeakInterval:
@@ -397,9 +395,7 @@ def format_perm(w: Perm) -> str:
     >>> format_perm(tuple(range(1, 11)))
     '1,2,3,4,5,6,7,8,9,10'
     """
-    if len(w) <= 9:
-        return "".join(str(x) for x in w)
-    return ",".join(str(x) for x in w)
+    return ("" if len(w) <= 9 else ",").join(map(str, w))
 
 
 def parse_perm(text: str) -> Perm:

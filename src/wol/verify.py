@@ -18,6 +18,7 @@ import numpy as np
 from . import hecke, tableaux
 from .classes import (
     EquivClass,
+    class_key,
     class_tableau_bijection,
     dp_iso_exists,
     dp_iso_find,
@@ -66,6 +67,7 @@ from .permutations import (
     descent_class,
     descents,
     identity,
+    inv_mask,
     inverse,
     length,
     longest_element,
@@ -100,11 +102,11 @@ def subsets(ground: list[int]) -> Iterator[frozenset[int]]:
 
 
 def all_left_intervals(n: int) -> Iterator[WeakInterval]:
-    perms = list(all_perms(n))
-    for lo in perms:
-        for hi in perms:
-            if weak_leq(lo, hi, LEFT):
-                yield WeakInterval(LEFT, lo, hi)
+    """Int(n) sorted by (lo, hi): each lo with the members of [lo, w0]_L."""
+    w0 = longest_element(n)
+    for lo in all_perms(n):
+        for hi in WeakInterval(LEFT, lo, w0).elements:
+            yield WeakInterval.unchecked(LEFT, lo, hi)
 
 
 def edge_decorated_covers(P: Poset) -> frozenset[tuple[int, int, bool]]:
@@ -646,6 +648,70 @@ def check_class_oracle(nmax: int, seed: int, samples: int = 500) -> tuple[bool, 
     return True, "class membership coincides with descent-preserving isomorphism"
 
 
+def class_census(n: int) -> tuple[int, int, str | None]:
+    """Int(n) partitioned by ``class_key`` and, independently, by
+    union-find over one-step moves: (classes, intervals, first failure).
+
+    The two partitions must agree, and each key group must be the
+    members of ``equiv_class``, listed from the same sigma_min, with that
+    sigma_min and the walk's sigma_max as the group's least and greatest
+    lower endpoints in the right order.  An interval [lo, hi] is named by
+    the number index(lo) * n! + index(hi), which keeps Int(7) in memory.
+    """
+    perms = list(all_perms(n))
+    index = {w: k for k, w in enumerate(perms)}
+    right_mask = [inv_mask(inverse(w)) for w in perms]
+    size = len(perms)
+    parent: dict[int, int] = {}
+
+    def root(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    groups: dict[tuple[int, int], list[int]] = {}
+    for I in all_left_intervals(n):
+        x = index[I.lo] * size + index[I.hi]
+        sigma_min, xi = class_key(I)
+        groups.setdefault((index[sigma_min], index[xi]), []).append(x)
+        for _, J in one_step_moves(I):
+            parent[root(index[J.lo] * size + index[J.hi])] = root(x)
+        root(x)
+    intervals = sum(map(len, groups.values()))
+
+    def failure(detail: str) -> tuple[int, int, str]:
+        return len(groups), intervals, detail
+
+    if len(parent) != intervals or len({root(x) for x in list(parent)}) != len(groups):
+        return failure("the key and the move closure count different classes")
+    for (sigma_min, _), group in groups.items():
+        members = [(perms[x // size], perms[x % size]) for x in group]
+        first = WeakInterval.unchecked(LEFT, *members[0])
+        if len({root(x) for x in group}) != 1:
+            return failure(f"the key group of {first} splits under moves")
+        C = equiv_class(first)
+        if [(J.lo, J.hi) for J in C.members] != members:
+            return failure(f"the key group of {first} is not its class")
+        bottom, top = (right_mask[index[J.lo]] for J in (C.min, C.max))
+        masks = [right_mask[x // size] for x in group]
+        if index[C.min.lo] != sigma_min or any(bottom & ~m or m & ~top for m in masks):
+            return failure(f"the walk misses the extremes of the class of {first}")
+    return len(groups), intervals, None
+
+
+def check_class_census(nmax: int, seed: int) -> tuple[bool, str]:
+    counts = []
+    for n in range(1, min(nmax, 7) + 1):
+        classes, intervals, failure = class_census(n)
+        if failure:
+            return False, f"n = {n}: {failure}"
+        counts.append(f"{classes}/{intervals}")
+    swept = f"n = 1..{len(counts)}: {', '.join(counts)}"
+    return True, f"key and move closure agree, classes/intervals for {swept}"
+
+
 def check_class_structure(nmax: int, seed: int) -> tuple[bool, str]:
     for n in range(1, min(nmax, 5) + 1):
         for S, rho in lower_descent_intervals(n):
@@ -1025,6 +1091,7 @@ SUITES: dict[str, list[Check]] = {
     "class": [
         ("iso oracle", check_class_oracle),
         ("class structure", check_class_structure),
+        ("class census", check_class_census),
         ("moves preserve descents", check_move_preserves_descents),
     ],
     "family": [

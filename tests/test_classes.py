@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from wol import classes, verify
+from wol import classes, permutations, verify
 from wol.classes import (
     class_tableau_bijection,
     class_to_json,
@@ -34,7 +34,7 @@ from wol.permutations import (
 )
 from wol.posets import COMPARABLE_NONCOVERING, classify_pair, interval_to_poset
 from wol.tableaux import FAMILY_MODULES, family_class
-from wol.verify import check_class_oracle, class_by_moves
+from wol.verify import all_left_intervals, check_class_oracle, class_by_moves, class_census
 
 NINE_MEMBERS = [
     ("132456", "142563"),
@@ -254,6 +254,52 @@ def test_dp_iso_cap():
     assert big.size == 720
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_all_left_intervals_keeps_the_pair_order(n):
+    # the order of the loop over all pairs, which seeded samples depend on
+    perms = list(all_perms(n))
+    pairs = [(lo, hi) for lo in perms for hi in perms if weak_leq(lo, hi, LEFT)]
+    assert [(I.lo, I.hi) for I in all_left_intervals(n)] == pairs
+
+
+# (classes, intervals) of Int(n) for n = 1..6
+CENSUS = [(1, 1), (3, 3), (15, 17), (108, 151), (1026, 1899), (12183, 31711)]
+
+
+@pytest.mark.parametrize("n, counts", enumerate(CENSUS, start=1))
+def test_class_census_goldens(n, counts):
+    assert class_census(n) == (*counts, None)
+
+
+def test_equiv_class_checks_members_in_constant_calls(monkeypatch):
+    calls = {"inv_mask": 0, "validate_perm": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (
+        (permutations, "inv_mask"),
+        (classes, "inv_mask"),
+        (permutations, "validate_perm"),
+    ):
+        counted(module, name)
+    counts = []
+    for w in ("21436587", "12345678"):
+        I = weak_interval(parse_perm(w), parse_perm(w), LEFT)
+        calls.update(inv_mask=0, validate_perm=0)
+        size = equiv_class(I).size
+        counts.append((size, dict(calls)))
+    (big, big_calls), (small, small_calls) = counts
+    assert big == 1385 and small == 1
+    assert big_calls == small_calls
+
+
 def test_class_oracle_detects_a_wrong_class_key(monkeypatch):
     assert check_class_oracle(4, 0)[0]
 
@@ -261,7 +307,7 @@ def test_class_oracle_detects_a_wrong_class_key(monkeypatch):
         # the lower endpoint of I in place of the class minimum's
         return I.lo, compose(I.hi, inverse(I.lo))
 
-    monkeypatch.setattr(classes, "_class_key", lower_endpoint_key)
+    monkeypatch.setattr(classes, "class_key", lower_endpoint_key)
     ok, detail = check_class_oracle(4, 0)
     assert not ok and detail.startswith("oracle disagrees at ")
 

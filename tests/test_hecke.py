@@ -364,8 +364,11 @@ def test_relation_checker_counts_the_generators():
         ({"n": 2, "basis": ["12"], "pi": [[[1]], [[1]], [[0]]]}, "n = 2 needs 1 generators, got 3"),
         ({"n": 2, "basis": ["12", "21"], "pi": [[[1, 0, 0], [0, 1, 0]]]}, r"pi_1 has shape \(2, 3\)"),
         ({"n": 2, "basis": ["12"], "pi": [[[1, 0], [0, 1]]]}, r"pi_1 has shape \(2, 2\), not 1 x 1"),
+        ({"n": 2, "basis": ["12", "21"], "pi": [[[1], [0, 1]]]}, "pi_1 is not a rectangular"),
+        ({"n": 2, "basis": ["12", "12"], "pi": [[[1, 0], [0, 1]]]}, "the basis repeats a label"),
+        ({"n": 0, "basis": ["1"], "pi": []}, "a module needs n >= 1, got n = 0"),
     ],
-    ids=["too few", "too many", "not square", "wrong size"],
+    ids=["too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0"],
 )
 def test_module_from_json_rejects_malformed_generators(data, message):
     with pytest.raises(DomainError, match=message):

@@ -16,6 +16,7 @@ from wol.permutations import (
     format_perm,
     format_subset,
     identity,
+    inv_mask,
     inverse,
     length,
     longest_element,
@@ -23,6 +24,7 @@ from wol.permutations import (
     mult_s_left,
     parse_perm,
     parse_subset,
+    right_interval_bfs,
     w1,
     weak_interval,
     weak_leq,
@@ -163,6 +165,35 @@ def test_inv_mask_containment_is_left_order(pair):
     for side, w in ((LEFT, compose(v, u)), (RIGHT, compose(u, v))):
         for y in (v, w):
             assert weak_leq(u, y, side) == additive(u, y, side)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_left_order_below_a_left_translate_is_mask_disjointness(n):
+    # lo <=_L xi lo exactly when no value pair inverted by lo is inverted by xi
+    perms = list(all_perms(n))
+    for lo in perms:
+        lo_mask = inv_mask(inverse(lo))
+        for xi in perms:
+            assert weak_leq(lo, compose(xi, lo), LEFT) == (lo_mask & inv_mask(xi) == 0)
+
+
+def test_right_interval_bfs_masks_and_covers():
+    perms = list(all_perms(4))
+    for lo in perms:
+        for hi in perms:
+            if not weak_leq(lo, hi, RIGHT):
+                continue
+            walk = list(right_interval_bfs(lo, hi))
+            members = {g for g, _, _ in walk}
+            assert len(members) == len(walk)
+            assert members == set(weak_interval(lo, hi, RIGHT).elements)
+            mask_of = {inv_mask(inverse(g)): g for g in members}
+            for g, mask, covers in walk:
+                assert mask_of[mask] == g
+                expected = [
+                    (i, h) for i, h in covers_up(g, RIGHT) if weak_leq(h, hi, RIGHT)
+                ]
+                assert [(i, mask_of[up]) for i, up in covers] == expected
 
 
 def test_weak_interval_examples():
