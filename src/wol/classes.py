@@ -30,7 +30,7 @@ from .permutations import (
     format_perm,
     inv_mask,
     inverse,
-    length,
+    mult_s_right,
     parse_perm,
     right_interval_bfs,
     weak_interval,
@@ -70,10 +70,16 @@ def one_step_moves(I: WeakInterval) -> list[tuple[int, WeakInterval]]:
     """All legal moves (i, I s_i) out of a left interval [sigma, rho]_L:
     one at each i where (i, i+1) is a comparable pair that is not a
     covering pair in the interval's poset, x <_P y iff sigma(x) < sigma(y)
-    and rho(x) < rho(y)."""
+    and rho(x) < rho(y).  A move keeps lo <=_L hi, so the targets are
+    built unchecked."""
     if I.side != LEFT:
         raise DomainError("one_step_moves expects a left interval")
-    return [(i, I.translate_right(i)) for i in range(1, I.n) if _has_move(I.lo, I.hi, i)]
+    lo, hi = I.lo, I.hi
+    return [
+        (i, WeakInterval.unchecked(LEFT, mult_s_right(lo, i), mult_s_right(hi, i)))
+        for i in range(1, I.n)
+        if _has_move(lo, hi, i)
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,29 +269,39 @@ def class_to_json(C: EquivClass) -> str:
 
 
 def class_from_json(text: str) -> EquivClass:
+    """The class written by ``class_to_json``.  ``hasse_dot`` relies on each
+    hasse edge (a, b, i) having a < b and members[a].lo s_i = members[b].lo."""
     data = json.loads(text)
     members = tuple(
         weak_interval(parse_perm(lo), parse_perm(hi), LEFT)
         for lo, hi in data["members"]
     )
+    hasse = tuple(tuple(e) for e in data["hasse"])
+    for a, b, i in hasse:
+        if not (0 <= a < len(members) and 0 <= b < len(members) and 0 < i < members[0].n):
+            raise DomainError(f"hasse edge {[a, b, i]} has an index out of range")
+        if a >= b:
+            raise DomainError(f"hasse edge {[a, b, i]} does not go up: {a} >= {b}")
+        if mult_s_right(members[a].lo, i) != members[b].lo:
+            raise DomainError(f"hasse edge {[a, b, i]}: lo of {a} times s_{i} is not lo of {b}")
     return EquivClass(
         members[0].n,
         members,
         parse_perm(data["xi"]),
-        tuple(tuple(e) for e in data["hasse"]),
+        hasse,
         int(data["min"]),
         int(data["max"]),
     )
 
 
 def hasse_dot(C: EquivClass) -> str:
-    """DOT rendering of the class Hasse diagram, edges labeled s_i."""
+    """DOT rendering of the class Hasse diagram, edges labeled s_i.  Members
+    are sorted by (lo, hi), and lo s_i is lexicographically later than lo
+    exactly when i is an ascent of lo, so an edge (a, b, i), a < b, points up."""
     lines = ["digraph hasse {"]
     for k, J in enumerate(C.members):
         lines.append(f'  m{k} [label="{J}"];')
     for a, b, i in C.hasse:
-        lo_a, lo_b = C.members[a].lo, C.members[b].lo
-        src, dst = (a, b) if length(lo_a) < length(lo_b) else (b, a)
-        lines.append(f'  m{src} -> m{dst} [label="s{i}"];')
+        lines.append(f'  m{a} -> m{b} [label="s{i}"];')
     lines.append("}")
     return "\n".join(lines)

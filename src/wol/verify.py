@@ -1,17 +1,31 @@
 """
-Named verification sweeps: each checks a batch of structural identities
-against brute-force oracles at small n and reports pass/fail.
+Named verification sweeps: one table of checks, each comparing
+structural identities with brute-force oracles at small n, and one
+runner.
 
-The CLI ``verify`` command runs these; the acceptance tests call them
-with the sizes fixed by the project contract.
+A row of the table (:class:`Check`) has a name, a pass text and one or
+more parts.  A part is a *domain*, which gives the cases at each n (the
+permutations of S_n, Int(n) with each interval's poset, compositions,
+descent intervals, seeded samples, ...), an n bound, and a *predicate*,
+which returns the failure text of one case or None.  ``@row`` makes the
+predicate below it a row; each ``check_*`` name is that row, callable
+alone as ``check(nmax, seed)``.
+
+:func:`run_check` alone reads ``nmax``: it sweeps n up to the bound,
+stops at the first failure, fails a check that met no case, and ends a
+pass detail with what it swept, e.g. ``(1,899 cases, n = 1..5)``.
+:func:`run_suite` runs a suite, or all, and builds each domain once per n.
+The CLI ``verify`` command and the acceptance tests call these.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,7 +106,12 @@ from .posets import (
     sigma_L_interval,
 )
 
-Check = tuple[str, Callable[[int, int], tuple[bool, str]]]
+# A domain gives the cases at n for a seed; a predicate, the failure text of a case or None.
+Domain = Callable[[int, int], Iterable]
+Predicate = Callable[..., str | None]
+
+# Pairs of Int(5) that the iso oracle draws; below n = 5 it takes every pair.
+ISO_SAMPLES = 500
 
 
 def subsets(ground: list[int]) -> Iterator[frozenset[int]]:
@@ -208,24 +227,6 @@ def dp_isos(I: WeakInterval, J: WeakInterval) -> Iterator[dict[Perm, Perm]]:
     yield from hasse_isos(hasse(colours_I), hasse(colours_J))
 
 
-def lower_descent_intervals(n: int) -> Iterator[tuple[frozenset[int], Perm]]:
-    """The pairs (S, rho) with w_0(S) <=_L rho: lower descent intervals of S_n."""
-    for S in subsets(list(range(1, n))):
-        w0S = longest_parabolic(S, n)
-        for rho in all_perms(n):
-            if weak_leq(w0S, rho, LEFT):
-                yield S, rho
-
-
-def upper_descent_intervals(n: int) -> Iterator[tuple[Perm, frozenset[int]]]:
-    """The pairs (sigma, S) with sigma <=_L w_1(S): upper descent intervals of S_n."""
-    for S in subsets(list(range(1, n))):
-        top = w1(S, n)
-        for sigma in all_perms(n):
-            if weak_leq(sigma, top, LEFT):
-                yield sigma, S
-
-
 def random_left_interval(rng: random.Random, perms: list[Perm]) -> WeakInterval:
     """A left interval [lo, hi]: lo uniform in perms, hi uniform above lo."""
     lo = rng.choice(perms)
@@ -251,233 +252,335 @@ def random_diagrams(count: int, max_cells: int, seed: int) -> list[Diagram]:
     return out
 
 
-# --- perm suite ----------------------------------------------------------
+# --- domains: the argument tuples of the cases at n, for a seed -----------
 
 
-def check_descent_symmetry(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 6) + 1):
-        for w in all_perms(n):
-            if descents(w, LEFT) != descents(inverse(w), RIGHT):
-                return False, f"Des_L mismatch at {w}"
-            lw = length(w)
-            for i in range(1, n):
-                swap = {i: i + 1, i + 1: i}
-                left_drop = length(tuple(swap.get(x, x) for x in w)) < lw
-                if (i in descents(w, LEFT)) != left_drop:
-                    return False, f"length-drop mismatch at {w}, {i}"
-    return True, "descent sets match inverse/right and length drops"
+def symmetric_group(n: int, seed: int) -> Iterator[tuple[Perm]]:
+    return ((w,) for w in all_perms(n))
 
 
-def check_weak_order_oracle(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        perms = list(all_perms(n))
-        for side in (LEFT, RIGHT):
-            reach: dict[Perm, set[Perm]] = {}
-
-            def reachable(u: Perm) -> set[Perm]:
-                if u not in reach:
-                    acc = {u}
-                    for _, v in covers_up(u, side):
-                        acc |= reachable(v)
-                    reach[u] = acc
-                return reach[u]
-
-            for u in reversed(perms):
-                reachable(u)
-            for u in perms:
-                for v in perms:
-                    if weak_leq(u, v, side) != (v in reachable(u)):
-                        return False, f"weak_leq oracle fails at {u}, {v}, {side}"
-    return True, "inversion-set containment matches cover reachability"
+def compositions_of(n: int, seed: int) -> Iterator[tuple[tuple[int, ...]]]:
+    return ((alpha,) for alpha in all_compositions(n))
 
 
-def check_w0_w1_identities(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 7) + 1):
-        w0 = longest_element(n)
-        for S in subsets(list(range(1, n))):
-            ws = longest_parabolic(S, n)
-            if compose(ws, ws) != identity(n):
-                return False, f"w0({sorted(S)}) not an involution"
-            if descents(ws, LEFT) != S or descents(ws, RIGHT) != S:
-                return False, f"descents of w0({sorted(S)}) wrong"
-            comp = frozenset(range(1, n)) - S
-            if w1(S, n) != compose(w0, longest_parabolic(comp, n)):
-                return False, f"w1({sorted(S)}) identity fails"
-    return True, "parabolic longest elements and w1 identities hold"
+def generator_subsets(n: int, seed: int) -> Iterator[tuple[frozenset[int], int]]:
+    """(S, n) for every S <= {1..n-1}."""
+    return ((S, n) for S in subsets(list(range(1, n))))
 
 
-def check_descent_class_oracle(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for T in subsets(list(range(1, n))):
-            for S in subsets(sorted(T)):
-                expected = sorted(
-                    w for w in all_perms(n) if S <= descents(w, RIGHT) <= T
-                )
-                got = descent_class(S, T, n).elements
-                if list(got) != expected:
-                    return False, f"descent class ({sorted(S)}, {sorted(T)}, {n})"
-    return True, "descent classes equal brute-force descent filters"
+def subset_pairs(n: int, seed: int) -> Iterator[tuple[frozenset[int], frozenset[int], int]]:
+    """(S, T, n) for every S <= T <= {1..n-1}, T outer."""
+    return ((S, T, n) for T in subsets(list(range(1, n))) for S in subsets(sorted(T)))
 
 
-def check_coset_decomposition(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(2, min(nmax, 5) + 1):
-        for S in subsets(list(range(1, n))):
-            parabolic = {u for u in all_perms(n) if descents_support(u) <= S}
-            for w in all_perms(n):
-                z, u = coset_decompose(w, S)
-                if compose(z, u) != w:
-                    return False, f"zu != w at {w}"
-                if length(z) + length(u) != length(w):
-                    return False, f"length additivity fails at {w}, {sorted(S)}"
-                if u not in parabolic:
-                    return False, f"u outside parabolic at {w}"
-                if not descents(z, RIGHT) <= frozenset(range(1, n)) - S:
-                    return False, f"z has a right descent in S at {w}"
-    return True, "coset decompositions are length-additive and well-placed"
+def lower_intervals(n: int, seed: int) -> Iterator[tuple[frozenset[int], Perm]]:
+    """The pairs (S, rho) with w_0(S) <=_L rho: lower descent intervals of S_n."""
+    for S in subsets(list(range(1, n))):
+        w0S = longest_parabolic(S, n)
+        for rho in all_perms(n):
+            if weak_leq(w0S, rho, LEFT):
+                yield S, rho
 
 
-def descents_support(u: Perm) -> frozenset[int]:
-    """Generator indices moved by u: i with u not fixing [1..i] setwise."""
-    n = len(u)
-    moved = set()
-    for i in range(1, n):
-        if set(u[:i]) != set(range(1, i + 1)):
-            moved.add(i)
-    return frozenset(moved)
+def upper_intervals(n: int, seed: int) -> Iterator[tuple[Perm, frozenset[int]]]:
+    """The pairs (sigma, S) with sigma <=_L w_1(S): upper descent intervals of S_n."""
+    for S in subsets(list(range(1, n))):
+        top = w1(S, n)
+        for sigma in all_perms(n):
+            if weak_leq(sigma, top, LEFT):
+                yield sigma, S
 
 
-def check_interval_closure(nmax: int, seed: int) -> tuple[bool, str]:
+def intervals_with_posets(n: int, seed: int) -> Iterator[tuple[WeakInterval, Poset]]:
+    """(I, P_I) for every I in Int(n)."""
+    return ((I, interval_to_poset(I)) for I in all_left_intervals(n))
+
+
+def interval_pairs(n: int, seed: int) -> list[tuple[WeakInterval, WeakInterval]]:
+    """Every pair of Int(n) for n <= 4; above, ISO_SAMPLES pairs drawn
+    from ``random.Random(seed)``."""
+    intervals = list(all_left_intervals(n))
+    if n <= 4:
+        return [(a, b) for a in intervals for b in intervals]
     rng = random.Random(seed)
-    n = min(nmax, 6)
-    perms = list(all_perms(n))
-    for _ in range(50):
-        I = random_left_interval(rng, perms)
-        members = set(I.elements)
-        for g in members:
-            for i, h in covers_up(g, LEFT):
-                if weak_leq(h, I.hi, LEFT) and h not in members:
-                    return False, f"interval not closed at {g} -> {h}"
-    return True, "interval element sets are closed under in-range covers"
+    return [(rng.choice(intervals), rng.choice(intervals)) for _ in range(ISO_SAMPLES)]
 
 
-# --- poset suite ---------------------------------------------------------
+def whole_n(n: int, seed: int) -> tuple[tuple[int]]:
+    """The one case n, for a check that takes all of Int(n) at once."""
+    return ((n,),)
 
 
-def check_interval_poset_roundtrip(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for I in all_left_intervals(n):
-            P = interval_to_poset(I)
-            if not is_regular(P):
-                return False, f"P_I not regular for {I}"
-            if tuple(linear_extensions_L(P)) != I.elements:
-                return False, f"Sigma_L(P_I) != I for {I}"
-            back = sigma_L_interval(P)
-            if (back.lo, back.hi) != (I.lo, I.hi):
-                return False, f"extremes disagree for {I}"
-    return True, "interval -> regular poset -> interval round-trips"
+@cache
+def random_intervals(count: int) -> Domain:
+    """``count`` left intervals of S_n drawn by ``random_left_interval``
+    from a fresh ``random.Random(seed)`` at each n, so that the cases at n
+    do not depend on the n below.  Equal arguments give one domain."""
+
+    def domain(n: int, seed: int) -> list[tuple[WeakInterval]]:
+        rng = random.Random(seed)
+        pool = list(all_perms(n))
+        return [(random_left_interval(rng, pool),) for _ in range(count)]
+
+    return domain
 
 
-def check_extremes_formula(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for I in all_left_intervals(n):
-            P = interval_to_poset(I)
-            exts = linear_extensions_L(P)
-            lo, hi = extremes_of_regular(P)
-            by_len = sorted(exts, key=length)
-            if lo != by_len[0] or hi != by_len[-1]:
-                return False, f"extremes not extreme for {I}"
-            if any(
-                not (weak_leq(lo, g, LEFT) and weak_leq(g, hi, LEFT)) for g in exts
-            ):
-                return False, f"extremes not bounds for {I}"
-    return True, "counting formulas give the weak-order min and max"
+@cache
+def sampled_diagrams(count: int, max_cells: int) -> Domain:
+    """The diagrams with n cells in ``random_diagrams(count, max_cells, seed)``;
+    equal arguments give one domain."""
+
+    def domain(n: int, seed: int) -> list[tuple[Diagram]]:
+        return [(D,) for D in random_diagrams(count, max_cells, seed) if D.n == n]
+
+    return domain
 
 
-def check_relabel_classification(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(2, min(nmax, 5) + 1):
-        for I in all_left_intervals(n):
-            P = interval_to_poset(I)
-            kinds = [classify_pair(P, i) for i in range(1, n)]
-            noncovering = [i for i, k in enumerate(kinds, 1) if k == COMPARABLE_NONCOVERING]
-            if [i for i, _ in one_step_moves(I)] != noncovering:
-                return False, f"one-step moves disagree with pair classification at {I}"
-            for i, kind in enumerate(kinds, 1):
-                Q = relabel(P, i)
-                if relabel(Q, i) != P:
-                    return False, "relabel is not an involution"
-                if kind == COMPARABLE_NONCOVERING:
-                    if not is_regular(Q):
-                        return False, f"s_i P not regular at {I}, {i}"
-                    moved = sigma_L_interval(Q)
-                    if (moved.lo, moved.hi) != (
-                        mult_s_right(I.lo, i),
-                        mult_s_right(I.hi, i),
-                    ):
-                        return False, f"Sigma_L(s_i P) != I s_i at {I}, {i}"
-                    if not decorated_iso_exists(P, Q):
-                        return False, f"edge decoration changed at {I}, {i}"
-                elif kind == COVERING:
-                    if not is_regular(Q):
-                        return False, f"covering relabel broke regularity at {I}, {i}"
-                    if decorated_iso_exists(P, Q):
-                        return False, f"covering relabel kept decorations at {I}, {i}"
-                else:
-                    if not decorated_iso_exists(P, Q):
-                        return False, f"incomparable relabel changed poset at {I}, {i}"
-    return True, "label swaps behave per pair classification"
+# --- the table and the runner --------------------------------------------
 
 
-def check_bar_involution(nmax: int, seed: int) -> tuple[bool, str]:
-    n = min(nmax, 5)
-    w0 = longest_element(n)
-    for I in all_left_intervals(n):
-        P = interval_to_poset(I)
-        if bar(bar(P)) != P:
-            return False, f"bar not involutive at {I}"
-        flipped = sorted(compose(g, w0) for g in linear_extensions_L(P))
-        if list(linear_extensions_L(bar(P))) != flipped:
-            return False, f"Sigma_L(bar P) != Sigma_L(P) w0 at {I}"
-    return True, "label complement matches right w0-translation"
+@dataclass(frozen=True)
+class Check:
+    """One row of the table: parts (domain, bound, predicate), swept from
+    n = nmin.  A ``sample`` row sweeps a seeded sample of fixed size, whose
+    n does not grow with nmax, to its bound whatever nmax is."""
+
+    name: str
+    passed: str
+    parts: tuple[tuple[Domain, int, Predicate], ...]
+    nmin: int = 1
+    sample: bool = False
+
+    def __call__(self, nmax: int, seed: int) -> tuple[bool, str]:
+        return run_check(self, nmax, seed)
 
 
-# --- diagram suite -------------------------------------------------------
+SUITES: dict[str, list[Check]] = {}
 
 
-def check_reflections(nmax: int, seed: int) -> tuple[bool, str]:
-    for D in random_diagrams(50, 8, seed):
-        for op in ("transpose", "star", "x_axis"):
-            if reflect(reflect(D, op), op) != D:
-                return False, f"{op} not involutive on {D}"
-        F = canonical_fill(D, "down")
-        for op in ("transpose", "star", "x_axis", "bar"):
-            if reflect(reflect(F, op), op) != F:
-                return False, f"{op} not involutive on filling of {D}"
-        if poset_of_filling(reflect(F, "transpose")) != poset_of_filling(F):
-            return False, f"P_F != P_F^t on {D}"
-        star_down = reflect(canonical_fill(D, "down"), "star")
-        if star_down != canonical_fill(reflect(D, "star"), "right"):
-            return False, f"(F_down)^* != F_right of D^* on {D}"
-    return True, "reflections are involutive with the stated identities"
+def row(
+    suite: str, name: str, domain: Domain, bound: int, passed: str, *more, nmin=1, sample=False
+) -> Callable[[Predicate], Check]:
+    """Decorator: the row ``name`` of ``SUITES[suite]``, whose first part is the
+    predicate below on ``domain``; the ``more`` parts follow it at each n."""
+
+    def register(predicate: Predicate) -> Check:
+        check = Check(name, passed, ((domain, bound, predicate), *more), nmin, sample)
+        SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return register
 
 
-def check_two_kinds(nmax: int, seed: int) -> tuple[bool, str]:
-    for D in random_diagrams(40, 7, seed):
-        down = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
-        right = sigma_L_interval(poset_of_filling(canonical_fill(D, "right")))
-        tprime, t = tableau_T(D, True), tableau_T(D, False)
-        if (down.lo, down.hi) != (reading(tprime, "TBLR"), reading(t, "TBLR")):
-            return False, f"down interval readings fail on {D}"
-        if (right.lo, right.hi) != (reading(tprime, "LRTB"), reading(t, "LRTB")):
-            return False, f"right interval readings fail on {D}"
-        r_prof, c_prof = profiles(D)
-        n = D.n
-        if reading(t, "LRTB") != w1(set_of(r_prof), n):
-            return False, f"LRTB(T_D) != w1(set(r(D))) on {D}"
-        if reading(tprime, "TBLR") != longest_parabolic(
-            frozenset(range(1, n)) - set_of(c_prof), n
-        ):
-            return False, f"TBLR(T'_D) != w0(set(c(D))^c) on {D}"
-    return True, "canonical fillings give the stated descent intervals"
+def run_check(check: Check, nmax: int, seed: int, cases: dict | None = None) -> tuple[bool, str]:
+    """(ok, detail) of one check.  ``cases`` holds the cases of each
+    (domain, n); ``run_suite`` shares one among its checks."""
+    cases = {} if cases is None else cases
+    top = max(bound for _, bound, _ in check.parts)
+    if not check.sample:
+        top = min(nmax, top)
+    count = 0
+    for n in range(check.nmin, top + 1):
+        for domain, bound, predicate in check.parts:
+            if n > bound:
+                continue
+            if (domain, n) not in cases:
+                cases[domain, n] = list(domain(n, seed))
+            for case in cases[domain, n]:
+                failure = predicate(*case)
+                if failure is not None:
+                    return False, failure
+                count += 1
+    if not count:
+        return False, f"no cases for n <= {nmax}"
+    return True, f"{check.passed} ({count:,} cases, n = {check.nmin}..{top})"
+
+
+def run_suite(name: str, nmax: int, seed: int = 0) -> list[tuple[str, bool, str]]:
+    """Run one suite (or 'all'); returns (check name, ok, detail) rows."""
+    if nmax < 1:
+        raise DomainError(f"nmax must be at least 1, got {nmax}")
+    names = list(SUITES) if name == "all" else [name]
+    cases: dict = {}
+    rows = []
+    for suite in names:
+        if suite not in SUITES:
+            raise KeyError(f"unknown suite {suite!r}")
+        for check in SUITES[suite]:
+            ok, detail = run_check(check, nmax, seed, cases)
+            rows.append((f"{suite}:{check.name}", ok, detail))
+    return rows
+
+
+@row("perm", "descent symmetry", symmetric_group, 6,
+     "descent sets match inverse/right and length drops")
+def check_descent_symmetry(w: Perm) -> str | None:
+    if descents(w, LEFT) != descents(inverse(w), RIGHT):
+        return f"Des_L mismatch at {w}"
+    lw = length(w)
+    for i in range(1, len(w)):
+        swap = {i: i + 1, i + 1: i}
+        left_drop = length(tuple(swap.get(x, x) for x in w)) < lw
+        if (i in descents(w, LEFT)) != left_drop:
+            return f"length-drop mismatch at {w}, {i}"
+
+
+@row("perm", "weak order oracle", symmetric_group, 5,
+     "inversion-set containment matches cover reachability")
+def check_weak_order_oracle(u: Perm) -> str | None:
+    for side in (LEFT, RIGHT):
+        reach, frontier = {u}, {u}
+        while frontier:
+            frontier = {v for g in frontier for _, v in covers_up(g, side)} - reach
+            reach |= frontier
+        for v in all_perms(len(u)):
+            if weak_leq(u, v, side) != (v in reach):
+                return f"weak_leq oracle fails at {u}, {v}, {side}"
+
+
+@row("perm", "w0/w1 identities", generator_subsets, 7,
+     "parabolic longest elements and w1 identities hold")
+def check_w0_w1_identities(S: frozenset[int], n: int) -> str | None:
+    ws = longest_parabolic(S, n)
+    if compose(ws, ws) != identity(n):
+        return f"w0({sorted(S)}) not an involution"
+    if descents(ws, LEFT) != S or descents(ws, RIGHT) != S:
+        return f"descents of w0({sorted(S)}) wrong"
+    comp = frozenset(range(1, n)) - S
+    if w1(S, n) != compose(longest_element(n), longest_parabolic(comp, n)):
+        return f"w1({sorted(S)}) identity fails"
+
+
+@row("perm", "descent class oracle", subset_pairs, 5,
+     "descent classes equal brute-force descent filters")
+def check_descent_class_oracle(S: frozenset[int], T: frozenset[int], n: int) -> str | None:
+    expected = sorted(w for w in all_perms(n) if S <= descents(w, RIGHT) <= T)
+    if list(descent_class(S, T, n).elements) != expected:
+        return f"descent class ({sorted(S)}, {sorted(T)}, {n})"
+
+
+@row("perm", "coset decomposition", generator_subsets, 5,
+     "coset decompositions are length-additive and well-placed", nmin=2)
+def check_coset_decomposition(S: frozenset[int], n: int) -> str | None:
+    for w in all_perms(n):
+        z, u = coset_decompose(w, S)
+        if compose(z, u) != w:
+            return f"zu != w at {w}"
+        if length(z) + length(u) != length(w):
+            return f"length additivity fails at {w}, {sorted(S)}"
+        # u is in the parabolic subgroup of S iff it fixes [1..i] setwise for each i not in S.
+        if any(set(u[:i]) != set(range(1, i + 1)) for i in range(1, n) if i not in S):
+            return f"u outside parabolic at {w}"
+        if not descents(z, RIGHT) <= frozenset(range(1, n)) - S:
+            return f"z has a right descent in S at {w}"
+
+
+@row("perm", "interval closure", random_intervals(50), 6,
+     "interval element sets are closed under in-range covers")
+def check_interval_closure(I: WeakInterval) -> str | None:
+    members = set(I.elements)
+    for g in members:
+        for i, h in covers_up(g, LEFT):
+            if weak_leq(h, I.hi, LEFT) and h not in members:
+                return f"interval not closed at {g} -> {h}"
+
+
+@row("poset", "interval/poset round trip", intervals_with_posets, 5,
+     "interval -> regular poset -> interval round-trips")
+def check_interval_poset_roundtrip(I: WeakInterval, P: Poset) -> str | None:
+    if not is_regular(P):
+        return f"P_I not regular for {I}"
+    if tuple(linear_extensions_L(P)) != I.elements:
+        return f"Sigma_L(P_I) != I for {I}"
+    back = sigma_L_interval(P)
+    if (back.lo, back.hi) != (I.lo, I.hi):
+        return f"extremes disagree for {I}"
+
+
+@row("poset", "extremes formula", intervals_with_posets, 5,
+     "counting formulas give the weak-order min and max")
+def check_extremes_formula(I: WeakInterval, P: Poset) -> str | None:
+    exts = linear_extensions_L(P)
+    lo, hi = extremes_of_regular(P)
+    by_len = sorted(exts, key=length)
+    if lo != by_len[0] or hi != by_len[-1]:
+        return f"extremes not extreme for {I}"
+    if any(not (weak_leq(lo, g, LEFT) and weak_leq(g, hi, LEFT)) for g in exts):
+        return f"extremes not bounds for {I}"
+
+
+@row("poset", "relabel classification", intervals_with_posets, 5,
+     "label swaps behave per pair classification", nmin=2)
+def check_relabel_classification(I: WeakInterval, P: Poset) -> str | None:
+    kinds = [classify_pair(P, i) for i in range(1, I.n)]
+    noncovering = [i for i, k in enumerate(kinds, 1) if k == COMPARABLE_NONCOVERING]
+    if [i for i, _ in one_step_moves(I)] != noncovering:
+        return f"one-step moves disagree with pair classification at {I}"
+    for i, kind in enumerate(kinds, 1):
+        Q = relabel(P, i)
+        if relabel(Q, i) != P:
+            return "relabel is not an involution"
+        if kind == COMPARABLE_NONCOVERING:
+            if not is_regular(Q):
+                return f"s_i P not regular at {I}, {i}"
+            moved = sigma_L_interval(Q)
+            if (moved.lo, moved.hi) != (mult_s_right(I.lo, i), mult_s_right(I.hi, i)):
+                return f"Sigma_L(s_i P) != I s_i at {I}, {i}"
+            if not decorated_iso_exists(P, Q):
+                return f"edge decoration changed at {I}, {i}"
+        elif kind == COVERING:
+            if not is_regular(Q):
+                return f"covering relabel broke regularity at {I}, {i}"
+            if decorated_iso_exists(P, Q):
+                return f"covering relabel kept decorations at {I}, {i}"
+        elif not decorated_iso_exists(P, Q):
+            return f"incomparable relabel changed poset at {I}, {i}"
+
+
+@row("poset", "bar involution", intervals_with_posets, 5,
+     "label complement matches right w0-translation")
+def check_bar_involution(I: WeakInterval, P: Poset) -> str | None:
+    if bar(bar(P)) != P:
+        return f"bar not involutive at {I}"
+    w0 = longest_element(I.n)
+    flipped = sorted(compose(g, w0) for g in linear_extensions_L(P))
+    if list(linear_extensions_L(bar(P))) != flipped:
+        return f"Sigma_L(bar P) != Sigma_L(P) w0 at {I}"
+
+
+@row("diagram", "reflections", sampled_diagrams(50, 8), 8,
+     "reflections are involutive with the stated identities", nmin=2, sample=True)
+def check_reflections(D: Diagram) -> str | None:
+    for op in ("transpose", "star", "x_axis"):
+        if reflect(reflect(D, op), op) != D:
+            return f"{op} not involutive on {D}"
+    F = canonical_fill(D, "down")
+    for op in ("transpose", "star", "x_axis", "bar"):
+        if reflect(reflect(F, op), op) != F:
+            return f"{op} not involutive on filling of {D}"
+    if poset_of_filling(reflect(F, "transpose")) != poset_of_filling(F):
+        return f"P_F != P_F^t on {D}"
+    star_down = reflect(canonical_fill(D, "down"), "star")
+    if star_down != canonical_fill(reflect(D, "star"), "right"):
+        return f"(F_down)^* != F_right of D^* on {D}"
+
+
+@row("diagram", "canonical fill intervals", sampled_diagrams(40, 7), 7,
+     "canonical fillings give the stated descent intervals", nmin=2, sample=True)
+def check_two_kinds(D: Diagram) -> str | None:
+    down = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
+    right = sigma_L_interval(poset_of_filling(canonical_fill(D, "right")))
+    tprime, t = tableau_T(D, True), tableau_T(D, False)
+    if (down.lo, down.hi) != (reading(tprime, "TBLR"), reading(t, "TBLR")):
+        return f"down interval readings fail on {D}"
+    if (right.lo, right.hi) != (reading(tprime, "LRTB"), reading(t, "LRTB")):
+        return f"right interval readings fail on {D}"
+    r_prof, c_prof = profiles(D)
+    n = D.n
+    if reading(t, "LRTB") != w1(set_of(r_prof), n):
+        return f"LRTB(T_D) != w1(set(r(D))) on {D}"
+    if reading(tprime, "TBLR") != longest_parabolic(frozenset(range(1, n)) - set_of(c_prof), n):
+        return f"TBLR(T'_D) != w0(set(c(D))^c) on {D}"
 
 
 def _cell_decorations(F) -> dict[tuple, bool]:
@@ -497,45 +600,21 @@ def _cell_decorations(F) -> dict[tuple, bool]:
     return out
 
 
-def check_fill_ne(nmax: int, seed: int) -> tuple[bool, str]:
-    for D in random_diagrams(40, 7, seed):
-        down = canonical_fill(D, "down")
-        ne = fill_ne(D)
-        if _cell_decorations(down) != _cell_decorations(ne):
-            return False, f"fill_ne changed the edge-decorated poset on {D}"
-        if not decorated_iso_exists(poset_of_filling(down), poset_of_filling(ne)):
-            return False, f"fill_ne posets not decoration-isomorphic on {D}"
-        Q = poset_of_filling(ne)
-        for i in range(1, D.n):
-            if Q.leq(i, i + 1) and not Q.is_cover(i, i + 1):
-                return False, f"non-covering i <= i+1 survives in F_ne on {D}"
-        if is_free_upper_right(D) and ne != canonical_fill(D, "right"):
-            return False, f"free diagram but F_ne != F_right on {D}"
-    return True, "northeast filling keeps decorations and covers consecutive pairs"
-
-
-def check_star_action_relations(nmax: int, seed: int) -> tuple[bool, str]:
-    for D in random_diagrams(25, 8, seed):
-        Dx = reflect(D, "x_axis")
-        try:
-            tabs = enumerate_ST(Dx, cap=300)
-        except ResourceCapError:
-            continue
-        for T in tabs:
-            for i in range(1, D.n):
-                once = hecke_star(i, T)
-                if once is not None and hecke_star(i, once) != once:
-                    return False, f"star idempotence fails on {D}"
-            for i in range(1, D.n - 1):
-                lhs = _star_word(T, [i, i + 1, i])
-                rhs = _star_word(T, [i + 1, i, i + 1])
-                if lhs != rhs:
-                    return False, f"star braid fails on {D}"
-            for i in range(1, D.n - 1):
-                for j in range(i + 2, D.n):
-                    if _star_word(T, [i, j]) != _star_word(T, [j, i]):
-                        return False, f"star commutation fails on {D}"
-    return True, "star action satisfies the 0-Hecke relations"
+@row("diagram", "northeast filling", sampled_diagrams(40, 7), 7,
+     "northeast filling keeps decorations and covers consecutive pairs", nmin=2, sample=True)
+def check_fill_ne(D: Diagram) -> str | None:
+    down = canonical_fill(D, "down")
+    ne = fill_ne(D)
+    if _cell_decorations(down) != _cell_decorations(ne):
+        return f"fill_ne changed the edge-decorated poset on {D}"
+    if not decorated_iso_exists(poset_of_filling(down), poset_of_filling(ne)):
+        return f"fill_ne posets not decoration-isomorphic on {D}"
+    Q = poset_of_filling(ne)
+    for i in range(1, D.n):
+        if Q.leq(i, i + 1) and not Q.is_cover(i, i + 1):
+            return f"non-covering i <= i+1 survives in F_ne on {D}"
+    if is_free_upper_right(D) and ne != canonical_fill(D, "right"):
+        return f"free diagram but F_ne != F_right on {D}"
 
 
 def _star_word(T, word):
@@ -547,40 +626,51 @@ def _star_word(T, word):
     return cur
 
 
-def check_descent_diagram_invariants(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for S, rho in lower_descent_intervals(n):
-            D = build_D_S_rho(S, rho)
-            got = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
-            if (got.lo, got.hi) != (longest_parabolic(S, n), rho):
-                return False, f"F_down interval wrong for ({sorted(S)}, {rho})"
-        for sigma, S in upper_descent_intervals(n):
-            ud = build_D_sigma_S(sigma, S)
-            got = sigma_L_interval(poset_of_filling(canonical_fill(ud.diagram, "right")))
-            if (got.lo, got.hi) != (sigma, w1(S, n)):
-                return False, f"F_right interval wrong for ({sigma}, {sorted(S)})"
-    return True, "descent diagrams realize their intervals"
+@row("diagram", "star action relations", sampled_diagrams(25, 8), 8,
+     "star action satisfies the 0-Hecke relations", nmin=2, sample=True)
+def check_star_action_relations(D: Diagram) -> str | None:
+    try:
+        tabs = enumerate_ST(reflect(D, "x_axis"), cap=300)
+    except ResourceCapError:
+        return None
+    for T in tabs:
+        for i in range(1, D.n):
+            once = hecke_star(i, T)
+            if once is not None and hecke_star(i, once) != once:
+                return f"star idempotence fails on {D}"
+        for i in range(1, D.n - 1):
+            if _star_word(T, [i, i + 1, i]) != _star_word(T, [i + 1, i, i + 1]):
+                return f"star braid fails on {D}"
+        for i in range(1, D.n - 1):
+            for j in range(i + 2, D.n):
+                if _star_word(T, [i, j]) != _star_word(T, [j, i]):
+                    return f"star commutation fails on {D}"
 
 
-def check_ribbons_free(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 8) + 1):
-        for alpha in all_compositions(n):
-            D = diagram_of(alpha, "ribbon")
-            if not is_free_upper_right(D):
-                return False, f"ribbon {alpha} not free"
-            if _has_two_by_two(D):
-                return False, f"ribbon {alpha} has a 2x2 block"
-    return True, "ribbon diagrams are free and have no 2x2 blocks"
+def _upper_diagram_interval(sigma: Perm, S: frozenset[int]) -> str | None:
+    ud = build_D_sigma_S(sigma, S)
+    got = sigma_L_interval(poset_of_filling(canonical_fill(ud.diagram, "right")))
+    if (got.lo, got.hi) != (sigma, w1(S, len(sigma))):
+        return f"F_right interval wrong for ({sigma}, {sorted(S)})"
 
 
-def _has_two_by_two(D: Diagram) -> bool:
-    return any(
-        {(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)} <= D.cells
-        for x, y in D.cells
-    )
+@row("diagram", "descent diagram intervals", lower_intervals, 5,
+     "descent diagrams realize their intervals", (upper_intervals, 5, _upper_diagram_interval))
+def check_descent_diagram_invariants(S: frozenset[int], rho: Perm) -> str | None:
+    D = build_D_S_rho(S, rho)
+    got = sigma_L_interval(poset_of_filling(canonical_fill(D, "down")))
+    if (got.lo, got.hi) != (longest_parabolic(S, len(rho)), rho):
+        return f"F_down interval wrong for ({sorted(S)}, {rho})"
 
 
-# --- class suite ---------------------------------------------------------
+@row("diagram", "ribbons free", compositions_of, 8,
+     "ribbon diagrams are free and have no 2x2 blocks")
+def check_ribbons_free(alpha: tuple[int, ...]) -> str | None:
+    D = diagram_of(alpha, "ribbon")
+    if not is_free_upper_right(D):
+        return f"ribbon {alpha} not free"
+    if any({(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)} <= D.cells for x, y in D.cells):
+        return f"ribbon {alpha} has a 2x2 block"
 
 
 def class_by_moves(I: WeakInterval) -> EquivClass:
@@ -620,32 +710,56 @@ def class_by_moves(I: WeakInterval) -> EquivClass:
     )
 
 
-def check_class_oracle(nmax: int, seed: int, samples: int = 500) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for I in all_left_intervals(n):
-            ref = class_by_moves(I)
-            if any(compose(J.hi, inverse(J.lo)) != ref.xi for J in ref.members):
-                return False, f"xi changes along a move in the class of {I}"
-            bottom, top = ref.min.lo, ref.max.lo
-            if not weak_leq(bottom, top, RIGHT) or [J.lo for J in ref.members] != list(
-                weak_interval(bottom, top, RIGHT).elements
-            ):
-                return False, f"lower endpoints of the class of {I} are not a right interval"
-            if equiv_class(I) != ref:
-                return False, f"translation and move closure disagree at {I}"
-    intervals = list(all_left_intervals(min(nmax, 4)))
-    pairs = [(a, b) for a in intervals for b in intervals]
-    if nmax >= 5:
-        rng = random.Random(seed)
-        five = list(all_left_intervals(5))
-        pairs += [(rng.choice(five), rng.choice(five)) for _ in range(samples)]
-    for a, b in pairs:
-        iso = next(dp_isos(a, b), None)
-        if dp_iso_exists(a, b) != (iso is not None):
-            return False, f"oracle disagrees at {a}, {b}"
-        if iso is not None and dp_iso_find(a, b) != iso:
-            return False, f"translation is not the oracle's isomorphism at {a}, {b}"
-    return True, "class membership coincides with descent-preserving isomorphism"
+def _dp_isos_agree(a: WeakInterval, b: WeakInterval) -> str | None:
+    iso = next(dp_isos(a, b), None)
+    if dp_iso_exists(a, b) != (iso is not None):
+        return f"oracle disagrees at {a}, {b}"
+    if iso is not None and dp_iso_find(a, b) != iso:
+        return f"translation is not the oracle's isomorphism at {a}, {b}"
+
+
+@row("class", "iso oracle", intervals_with_posets, 5,
+     "class membership coincides with descent-preserving isomorphism",
+     (interval_pairs, 5, _dp_isos_agree))
+def check_class_oracle(I: WeakInterval, P: Poset) -> str | None:
+    ref = class_by_moves(I)
+    if any(compose(J.hi, inverse(J.lo)) != ref.xi for J in ref.members):
+        return f"xi changes along a move in the class of {I}"
+    bottom, top, los = ref.min.lo, ref.max.lo, [J.lo for J in ref.members]
+    if not weak_leq(bottom, top, RIGHT) or los != list(weak_interval(bottom, top, RIGHT).elements):
+        return f"lower endpoints of the class of {I} are not a right interval"
+    if equiv_class(I) != ref:
+        return f"translation and move closure disagree at {I}"
+
+
+def _upper_class_extremes(sigma: Perm, S: frozenset[int]) -> str | None:
+    I = weak_interval(sigma, w1(S, len(sigma)), LEFT)
+    C = equiv_class(I)
+    if (C.max.lo, C.max.hi) != (I.lo, I.hi):
+        return f"max C is not the upper interval at {I}"
+    lo2, hi2 = upper_minmax(sigma, S)
+    if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
+        return f"upper_minmax min mismatch at {I}"
+    if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
+        return f"upper_minmax max mismatch at {I}"
+
+
+@row("class", "class structure", lower_intervals, 5,
+     "lower/upper classes have the stated extremes", (upper_intervals, 5, _upper_class_extremes))
+def check_class_structure(S: frozenset[int], rho: Perm) -> str | None:
+    n = len(rho)
+    I = weak_interval(longest_parabolic(S, n), rho, LEFT)
+    C = equiv_class(I)
+    if (C.min.lo, C.min.hi) != (I.lo, I.hi):
+        return f"min C is not the lower interval at {I}"
+    lower_ends = {longest_parabolic(T, n) for T in subsets(list(range(1, n)))}
+    if sum(J.lo in lower_ends for J in C.members) != 1:
+        return f"lower descent interval not unique in C({I})"
+    lo2, hi2 = lower_minmax(S, rho)
+    if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
+        return f"lower_minmax min mismatch at {I}"
+    if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
+        return f"lower_minmax max mismatch at {I}"
 
 
 def class_census(n: int) -> tuple[int, int, str | None]:
@@ -701,159 +815,97 @@ def class_census(n: int) -> tuple[int, int, str | None]:
     return len(groups), intervals, None
 
 
-def check_class_census(nmax: int, seed: int) -> tuple[bool, str]:
-    counts = []
-    for n in range(1, min(nmax, 7) + 1):
-        classes, intervals, failure = class_census(n)
-        if failure:
-            return False, f"n = {n}: {failure}"
-        counts.append(f"{classes}/{intervals}")
-    swept = f"n = 1..{len(counts)}: {', '.join(counts)}"
-    return True, f"key and move closure agree, classes/intervals for {swept}"
+@row("class", "class census", whole_n, 7, "key and move closure agree on the classes of Int(n)")
+def check_class_census(n: int) -> str | None:
+    failure = class_census(n)[2]
+    if failure:
+        return f"n = {n}: {failure}"
 
 
-def check_class_structure(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for S, rho in lower_descent_intervals(n):
-            I = weak_interval(longest_parabolic(S, n), rho, LEFT)
-            C = equiv_class(I)
-            if (C.min.lo, C.min.hi) != (I.lo, I.hi):
-                return False, f"min C is not the lower interval at {I}"
-            lowers = [
-                J
-                for J in C.members
-                if any(J.lo == longest_parabolic(T, n) for T in subsets(list(range(1, n))))
-            ]
-            if len(lowers) != 1:
-                return False, f"lower descent interval not unique in C({I})"
-            lo2, hi2 = lower_minmax(S, rho)
-            if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
-                return False, f"lower_minmax min mismatch at {I}"
-            if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
-                return False, f"lower_minmax max mismatch at {I}"
-        for sigma, S in upper_descent_intervals(n):
-            I = weak_interval(sigma, w1(S, n), LEFT)
-            C = equiv_class(I)
-            if (C.max.lo, C.max.hi) != (I.lo, I.hi):
-                return False, f"max C is not the upper interval at {I}"
-            lo2, hi2 = upper_minmax(sigma, S)
-            if (lo2.lo, lo2.hi) != (C.min.lo, C.min.hi):
-                return False, f"upper_minmax min mismatch at {I}"
-            if (hi2.lo, hi2.hi) != (C.max.lo, C.max.hi):
-                return False, f"upper_minmax max mismatch at {I}"
-    return True, "lower/upper classes have the stated extremes"
+@row("class", "moves preserve descents", random_intervals(60), 5,
+     "one-step moves preserve left descent sets elementwise")
+def check_move_preserves_descents(I: WeakInterval) -> str | None:
+    for i, J in one_step_moves(I):
+        for g in I.elements:
+            if descents(g, LEFT) != descents(mult_s_right(g, i), LEFT):
+                return f"move s_{i} changed descents in {I}"
 
 
-def check_move_preserves_descents(nmax: int, seed: int) -> tuple[bool, str]:
-    n = min(nmax, 5)
-    rng = random.Random(seed)
-    perms = list(all_perms(n))
-    for _ in range(60):
-        I = random_left_interval(rng, perms)
-        for i, J in one_step_moves(I):
-            for g in I.elements:
-                if descents(g, LEFT) != descents(mult_s_right(g, i), LEFT):
-                    return False, f"move s_{i} changed descents in {I}"
-    return True, "one-step moves preserve left descent sets elementwise"
-
-
-# --- family suite --------------------------------------------------------
-
-
-def _valid_family_kinds(alpha) -> list[str]:
+@row("family", "closed forms vs BFS", compositions_of, 5, "closed-form classes agree with BFS")
+def check_family_vs_bfs(alpha: tuple[int, ...]) -> str | None:
     kinds = ["P", "F", "V", "X", "Shat"]
     if is_peak(alpha):
         kinds.append("Q")
-    return kinds
+    for kind in kinds:
+        summary = tableaux.family_class(kind, alpha)
+        C = equiv_class(summary.min_interval)
+        if (C.min.lo, C.min.hi) != (summary.min_interval.lo, summary.min_interval.hi):
+            return f"{kind}({alpha}) min mismatch"
+        if (C.max.lo, C.max.hi) != (summary.max_interval.lo, summary.max_interval.hi):
+            return f"{kind}({alpha}) max mismatch"
+        if C.size != summary.size:
+            return f"{kind}({alpha}) size mismatch"
 
 
-def check_family_vs_bfs(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for alpha in all_compositions(n):
-            for kind in _valid_family_kinds(alpha):
-                summary = tableaux.family_class(kind, alpha)
-                C = equiv_class(summary.min_interval)
-                if (C.min.lo, C.min.hi) != (
-                    summary.min_interval.lo,
-                    summary.min_interval.hi,
-                ):
-                    return False, f"{kind}({alpha}) min mismatch"
-                if (C.max.lo, C.max.hi) != (
-                    summary.max_interval.lo,
-                    summary.max_interval.hi,
-                ):
-                    return False, f"{kind}({alpha}) max mismatch"
-                if C.size != summary.size:
-                    return False, f"{kind}({alpha}) size mismatch"
-    return True, "closed-form classes agree with BFS"
+@row("family", "diagram freeness", compositions_of, 7,
+     "family diagrams are free of the configuration")
+def check_family_freeness(alpha: tuple[int, ...]) -> str | None:
+    for kind in ("P", "V", "X", "Shat"):
+        if not is_free_upper_right(family_diagram(kind, alpha)):
+            return f"{kind}({alpha}) diagram not free"
+    if is_peak(alpha) and not is_free_upper_right(family_diagram("Q", alpha)):
+        return f"Q({alpha}) diagram not free"
 
 
-def check_family_freeness(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 7) + 1):
-        for alpha in all_compositions(n):
-            for kind in ("P", "V", "X", "Shat"):
-                if not is_free_upper_right(family_diagram(kind, alpha)):
-                    return False, f"{kind}({alpha}) diagram not free"
-            if is_peak(alpha) and not is_free_upper_right(family_diagram("Q", alpha)):
-                return False, f"Q({alpha}) diagram not free"
-    return True, "family diagrams are free of the configuration"
+@row("family", "singleton classes", compositions_of, 5,
+     "singleton classes sweep their right descent class")
+def check_singleton_class(alpha: tuple[int, ...]) -> str | None:
+    n = sum(alpha)
+    summary = tableaux.family_class("F", alpha)
+    C = equiv_class(summary.min_interval)
+    if any(J.lo != J.hi for J in C.members):
+        return f"F({alpha}) class has non-singletons"
+    srt = tableaux.enumerate_family("SRT", alpha)
+    if len(srt) != C.size or C.size != summary.size:
+        return f"F({alpha}) class size != |SRT|"
+    lo = longest_parabolic(frozenset(range(1, n)) - set_of(alpha), n)
+    hi = compose(longest_parabolic(set_of(alpha), n), longest_element(n))
+    if {J.lo for J in C.members} != set(weak_interval(lo, hi, RIGHT).elements):
+        return f"F({alpha}) members differ from descent class"
 
 
-def check_singleton_class(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for alpha in all_compositions(n):
-            summary = tableaux.family_class("F", alpha)
-            C = equiv_class(summary.min_interval)
-            if any(J.lo != J.hi for J in C.members):
-                return False, f"F({alpha}) class has non-singletons"
-            srt = tableaux.enumerate_family("SRT", alpha)
-            if len(srt) != C.size or C.size != summary.size:
-                return False, f"F({alpha}) class size != |SRT|"
-            lo = longest_parabolic(frozenset(range(1, n)) - set_of(alpha), n)
-            hi = compose(longest_parabolic(set_of(alpha), n), longest_element(n))
-            expected = set(weak_interval(lo, hi, RIGHT).elements)
-            if {J.lo for J in C.members} != expected:
-                return False, f"F({alpha}) members differ from descent class"
-    return True, "singleton classes sweep their right descent class"
+@row("family", "twisted translates", compositions_of, 5,
+     "twisted classes are elementwise right w0-translates")
+def check_twisted_translates(alpha: tuple[int, ...]) -> str | None:
+    w0 = longest_element(sum(alpha))
+    for kind in ("V", "X", "Shat"):
+        base = tableaux.family_class(kind, alpha)
+        twisted = tableaux.family_class("R" + kind, alpha)
+        base_members = equiv_class(base.min_interval).members
+        expected = sorted((compose(J.hi, w0), compose(J.lo, w0)) for J in base_members)
+        got = equiv_class(twisted.min_interval).members
+        if [(J.lo, J.hi) for J in got] != expected:
+            return f"R{kind}({alpha}) is not the w0-translate"
 
 
-def check_twisted_translates(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        w0 = longest_element(n)
-        for alpha in all_compositions(n):
-            for kind in ("V", "X", "Shat"):
-                base = tableaux.family_class(kind, alpha)
-                twisted = tableaux.family_class("R" + kind, alpha)
-                base_members = equiv_class(base.min_interval).members
-                expected = sorted(
-                    (compose(J.hi, w0), compose(J.lo, w0)) for J in base_members
-                )
-                got = equiv_class(twisted.min_interval).members
-                if [(J.lo, J.hi) for J in got] != expected:
-                    return False, f"R{kind}({alpha}) is not the w0-translate"
-    return True, "twisted classes are elementwise right w0-translates"
+def _upper_bijection(sigma: Perm, S: frozenset[int]) -> str | None:
+    ud = build_D_sigma_S(sigma, S)
+    if not is_free_upper_right(ud.diagram):
+        return None
+    C = equiv_class(weak_interval(sigma, w1(S, len(sigma)), LEFT))
+    if not class_tableau_bijection(C, ud.diagram):
+        return f"bijection fails for ({sigma}, {sorted(S)})"
 
 
-def check_tableau_bijection_sweep(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 5) + 1):
-        for S, rho in lower_descent_intervals(n):
-            D = build_D_S_rho(S, rho)
-            if not is_free_upper_right(D):
-                continue
-            C = equiv_class(weak_interval(longest_parabolic(S, n), rho, LEFT))
-            if not class_tableau_bijection(C, D):
-                return False, f"bijection fails for ({sorted(S)}, {rho})"
-        for sigma, S in upper_descent_intervals(n):
-            ud = build_D_sigma_S(sigma, S)
-            if not is_free_upper_right(ud.diagram):
-                continue
-            C = equiv_class(weak_interval(sigma, w1(S, n), LEFT))
-            if not class_tableau_bijection(C, ud.diagram):
-                return False, f"bijection fails for ({sigma}, {sorted(S)})"
-    return True, "free-diagram classes match their standard tableaux"
-
-
-# --- module suite --------------------------------------------------------
+@row("family", "tableau bijections", lower_intervals, 5,
+     "free-diagram classes match their standard tableaux", (upper_intervals, 5, _upper_bijection))
+def check_tableau_bijection_sweep(S: frozenset[int], rho: Perm) -> str | None:
+    D = build_D_S_rho(S, rho)
+    if not is_free_upper_right(D):
+        return None
+    C = equiv_class(weak_interval(longest_parabolic(S, len(rho)), rho, LEFT))
+    if not class_tableau_bijection(C, D):
+        return f"bijection fails for ({sorted(S)}, {rho})"
 
 
 def dense_relation_failure(M: hecke.HeckeModule) -> str | None:
@@ -876,112 +928,103 @@ def dense_relation_failure(M: hecke.HeckeModule) -> str | None:
     return None
 
 
-def check_module_relations(nmax: int, seed: int) -> tuple[bool, str]:
-    # Relation checking runs inside every constructor; the dense oracle
-    # checks every module with n <= 4 once more.
-    small = []
-    for n in range(1, min(nmax, 6) + 1):
-        for alpha in all_compositions(n):
-            s_comp = frozenset(range(1, n)) - set_of(alpha)
-            sigma = longest_parabolic(s_comp, n)
-            built = [
-                hecke.module_B(descent_class(s_comp, s_comp, n)),
-                hecke.module_B(weak_interval(sigma, sigma, LEFT)),
-            ]
-            if is_peak(alpha):
-                built.append(hecke.module_SPIT(alpha))
-            if n <= 4:
-                small += built
-    n = min(nmax, 4)
-    for I in all_left_intervals(n):
-        M = hecke.module_B(I)
-        small += [
-            M,
-            hecke.module_Bbar(I),
-            hecke.module_M(interval_to_poset(I)),
-            hecke.twist_theta_chi(M),
-        ]
-    for M in small:
+def _dense_failure(modules: list[hecke.HeckeModule]) -> str | None:
+    for M in modules:
         failure = dense_relation_failure(M)
         if failure is not None:
-            return False, f"{M!r}: {failure}"
-    return True, "all constructed modules satisfy the 0-Hecke relations"
+            return f"{M!r}: {failure}"
 
 
-def check_one_dimensional_action(nmax: int, seed: int) -> tuple[bool, str]:
-    n = min(nmax, 5)
-    for sigma in all_perms(n):
-        M = hecke.module_B(weak_interval(sigma, sigma, LEFT))
-        des = descents(sigma, LEFT)
-        for i in range(1, n):
-            expected = 1 if i in des else 0
-            if M.pis[i - 1][0, 0] != expected:
-                return False, f"B([{sigma},{sigma}]) acts wrongly at {i}"
-    return True, "singleton interval modules act by descent indicators"
+def _interval_module_relations(I: WeakInterval, P: Poset) -> str | None:
+    M = hecke.module_B(I)
+    return _dense_failure([M, hecke.module_Bbar(I), hecke.module_M(P), hecke.twist_theta_chi(M)])
 
 
-def check_dimension_audits(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 6) + 1):
-        for alpha in all_compositions(n):
-            s_comp = frozenset(range(1, n)) - set_of(alpha)
-            w0c = longest_parabolic(s_comp, n)
-            sit = tableaux.enumerate_family("SIT", alpha)
-            sink_sit = tableaux.sink_source("SIT", alpha, "sink")
-            if len(sit) != weak_interval(w0c, reading(sink_sit, "RLBT"), LEFT).size:
-                return False, f"SIT({alpha}) dimension audit fails"
-            srt = tableaux.enumerate_family("SRT", alpha)
-            if len(srt) != descent_class(s_comp, s_comp, n).size:
-                return False, f"SRT({alpha}) dimension audit fails"
-            sett = tableaux.enumerate_family("SET", alpha)
-            sink_set = tableaux.sink_source("SET", alpha, "sink")
-            if len(sett) != weak_interval(w0c, reading(sink_set, "RLBT"), LEFT).size:
-                return False, f"SET({alpha}) dimension audit fails"
-            if is_peak(alpha):
-                spit = tableaux.enumerate_family("SPIT", alpha)
-                sink_spit = tableaux.sink_source("SPIT", alpha, "sink")
-                if subset_reverse(set_of(alpha), n) != set_of(reverse(alpha)):
-                    return False, f"set(alpha)^r != set(alpha^r) at {alpha}"
-                hi = w1(set_of(reverse(alpha)), n)
-                size = weak_interval(reading(sink_spit, "LRTB"), hi, LEFT).size
-                if len(spit) != size:
-                    return False, f"SPIT({alpha}) dimension audit fails"
-                if hecke.module_SPIT(alpha).dim != size:
-                    return False, f"SPIT({alpha}) module dimension mismatch"
-    return True, "family cardinalities equal their interval dimensions"
+@row("module", "relation suite", compositions_of, 6,
+     "all constructed modules satisfy the 0-Hecke relations",
+     (intervals_with_posets, 4, _interval_module_relations))
+def check_module_relations(alpha: tuple[int, ...]) -> str | None:
+    # Relation checking runs inside every constructor; the dense oracle
+    # checks every module with n <= 4 once more.
+    n = sum(alpha)
+    s_comp = frozenset(range(1, n)) - set_of(alpha)
+    sigma = longest_parabolic(s_comp, n)
+    built = [
+        hecke.module_B(descent_class(s_comp, s_comp, n)),
+        hecke.module_B(weak_interval(sigma, sigma, LEFT)),
+    ]
+    if is_peak(alpha):
+        built.append(hecke.module_SPIT(alpha))
+    if n <= 4:
+        return _dense_failure(built)
 
 
-def check_twist_consistency(nmax: int, seed: int) -> tuple[bool, str]:
-    n = min(nmax, 4)
-    w0 = longest_element(n)
-    for I in all_left_intervals(n):
-        M = hecke.module_B(I)
-        T = hecke.twist_theta_chi(M)
-        J = weak_interval(compose(I.hi, w0), compose(I.lo, w0), LEFT)
-        MJ = hecke.module_B(J)
-        index = {g: k for k, g in enumerate(MJ.basis)}
-        pairing = [(k, index[compose(g, w0)]) for k, g in enumerate(T.basis)]
-        if hecke.signed_intertwiner(T, MJ, pairing) is None:
-            return False, f"twist of B({I}) does not match B({J})"
-        TT = hecke.twist_theta_chi(T)
-        identity_pairing = [(k, k) for k in range(M.dim)]
-        if hecke.signed_intertwiner(TT, M, identity_pairing) is None:
-            return False, f"double twist of B({I}) not the identity"
-    return True, "theta-chi twists land on the reversed intervals"
+@row("module", "one-dimensional actions", symmetric_group, 5,
+     "singleton interval modules act by descent indicators")
+def check_one_dimensional_action(sigma: Perm) -> str | None:
+    M = hecke.module_B(weak_interval(sigma, sigma, LEFT))
+    des = descents(sigma, LEFT)
+    for i in range(1, len(sigma)):
+        if M.pis[i - 1][0, 0] != (1 if i in des else 0):
+            return f"B([{sigma},{sigma}]) acts wrongly at {i}"
 
 
-def check_intertwiner_ladder(nmax: int, seed: int) -> tuple[bool, str]:
-    n = min(nmax, 5)
-    rng = random.Random(seed)
-    perms = list(all_perms(n))
-    for _ in range(20):
-        I = random_left_interval(rng, perms)
-        for i, J in one_step_moves(I):
-            mapping = hecke.intertwiner_from_dp_iso(I, J)
-            if mapping is None:
-                return False, f"no intertwiner along move s_{i} from {I}"
-            if mapping != {g: mult_s_right(g, i) for g in I.elements}:
-                return False, f"intertwiner along s_{i} from {I} is not right translation"
-    return True, "adjacent class members intertwine by right translation"
+@row("module", "dimension audits", compositions_of, 6,
+     "family cardinalities equal their interval dimensions")
+def check_dimension_audits(alpha: tuple[int, ...]) -> str | None:
+    n = sum(alpha)
+    s_comp = frozenset(range(1, n)) - set_of(alpha)
+    w0c = longest_parabolic(s_comp, n)
+    sit = tableaux.enumerate_family("SIT", alpha)
+    sink_sit = tableaux.sink_source("SIT", alpha, "sink")
+    if len(sit) != weak_interval(w0c, reading(sink_sit, "RLBT"), LEFT).size:
+        return f"SIT({alpha}) dimension audit fails"
+    srt = tableaux.enumerate_family("SRT", alpha)
+    if len(srt) != descent_class(s_comp, s_comp, n).size:
+        return f"SRT({alpha}) dimension audit fails"
+    sett = tableaux.enumerate_family("SET", alpha)
+    sink_set = tableaux.sink_source("SET", alpha, "sink")
+    if len(sett) != weak_interval(w0c, reading(sink_set, "RLBT"), LEFT).size:
+        return f"SET({alpha}) dimension audit fails"
+    if is_peak(alpha):
+        spit = tableaux.enumerate_family("SPIT", alpha)
+        sink_spit = tableaux.sink_source("SPIT", alpha, "sink")
+        if subset_reverse(set_of(alpha), n) != set_of(reverse(alpha)):
+            return f"set(alpha)^r != set(alpha^r) at {alpha}"
+        hi = w1(set_of(reverse(alpha)), n)
+        size = weak_interval(reading(sink_spit, "LRTB"), hi, LEFT).size
+        if len(spit) != size:
+            return f"SPIT({alpha}) dimension audit fails"
+        if hecke.module_SPIT(alpha).dim != size:
+            return f"SPIT({alpha}) module dimension mismatch"
+
+
+@row("module", "twist consistency", intervals_with_posets, 4,
+     "theta-chi twists land on the reversed intervals")
+def check_twist_consistency(I: WeakInterval, P: Poset) -> str | None:
+    w0 = longest_element(I.n)
+    M = hecke.module_B(I)
+    T = hecke.twist_theta_chi(M)
+    J = weak_interval(compose(I.hi, w0), compose(I.lo, w0), LEFT)
+    MJ = hecke.module_B(J)
+    index = {g: k for k, g in enumerate(MJ.basis)}
+    pairing = [(k, index[compose(g, w0)]) for k, g in enumerate(T.basis)]
+    if hecke.signed_intertwiner(T, MJ, pairing) is None:
+        return f"twist of B({I}) does not match B({J})"
+    TT = hecke.twist_theta_chi(T)
+    if hecke.signed_intertwiner(TT, M, [(k, k) for k in range(M.dim)]) is None:
+        return f"double twist of B({I}) not the identity"
+
+
+@row("module", "intertwiner ladder", random_intervals(20), 5,
+     "adjacent class members intertwine by right translation")
+def check_intertwiner_ladder(I: WeakInterval) -> str | None:
+    for i, J in one_step_moves(I):
+        mapping = hecke.intertwiner_from_dp_iso(I, J)
+        if mapping is None:
+            return f"no intertwiner along move s_{i} from {I}"
+        if mapping != {g: mult_s_right(g, i) for g in I.elements}:
+            return f"intertwiner along s_{i} from {I} is not right translation"
 
 
 def family_closed_form(
@@ -1025,104 +1068,36 @@ def family_closed_form(
     raise DomainError(f"no closed form for family kind {kind!r}")
 
 
-def check_hull_cover_families(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 7) + 1):
-        for alpha in all_compositions(n):
-            kinds = ["V", "X", "Shat", "RV", "RX", "RShat"]
-            if is_peak(alpha):
-                kinds += ["Q-hull", "Q-cover"]
-            for kind in kinds:
-                result = hecke.hull_or_cover(kind, alpha=alpha)
-                if not result.lower_set <= result.upper_set:
-                    return False, f"{kind}({alpha}) is not a descent class"
-                if kind == "Shat":
-                    continue
-                A, B = family_closed_form(kind, alpha)
-                if result.lower_set != A or (B is not None and result.upper_set != B):
-                    return False, (
-                        f"{kind}({alpha}): closed form {sorted(A)}, "
-                        f"{sorted(B) if B is not None else '-'} differs from the general "
-                        f"formula {sorted(result.lower_set)}, {sorted(result.upper_set)}"
-                    )
-    return True, "family hulls and covers match the general formulas"
+@row("module", "hulls and covers", compositions_of, 7,
+     "family hulls and covers match the general formulas")
+def check_hull_cover_families(alpha: tuple[int, ...]) -> str | None:
+    kinds = ["V", "X", "Shat", "RV", "RX", "RShat"]
+    if is_peak(alpha):
+        kinds += ["Q-hull", "Q-cover"]
+    for kind in kinds:
+        result = hecke.hull_or_cover(kind, alpha=alpha)
+        if not result.lower_set <= result.upper_set:
+            return f"{kind}({alpha}) is not a descent class"
+        if kind == "Shat":
+            continue
+        A, B = family_closed_form(kind, alpha)
+        if result.lower_set != A or (B is not None and result.upper_set != B):
+            return (
+                f"{kind}({alpha}): closed form {sorted(A)}, "
+                f"{sorted(B) if B is not None else '-'} differs from the general "
+                f"formula {sorted(result.lower_set)}, {sorted(result.upper_set)}"
+            )
 
 
-def check_projective_decompositions(nmax: int, seed: int) -> tuple[bool, str]:
-    for n in range(1, min(nmax, 6) + 1):
-        full = frozenset(range(1, n))
-        for T in subsets(list(range(1, n))):
-            for S in subsets(sorted(T)):
-                total = sum(
-                    descent_class(full - set_of(a), full - set_of(a), n).size
-                    for a in hecke.projective_decomposition(S, T, n)
-                )
-                expected = descent_class(S, T, n).size
-                if total != expected:
-                    return False, (
-                        f"projective dimensions for S={sorted(S)}, T={sorted(T)} "
-                        f"sum to {total}, descent class has {expected}"
-                    )
-    return True, "projective summand dimensions audit cleanly"
-
-
-SUITES: dict[str, list[Check]] = {
-    "perm": [
-        ("descent symmetry", check_descent_symmetry),
-        ("weak order oracle", check_weak_order_oracle),
-        ("w0/w1 identities", check_w0_w1_identities),
-        ("descent class oracle", check_descent_class_oracle),
-        ("coset decomposition", check_coset_decomposition),
-        ("interval closure", check_interval_closure),
-    ],
-    "poset": [
-        ("interval/poset round trip", check_interval_poset_roundtrip),
-        ("extremes formula", check_extremes_formula),
-        ("relabel classification", check_relabel_classification),
-        ("bar involution", check_bar_involution),
-    ],
-    "diagram": [
-        ("reflections", check_reflections),
-        ("canonical fill intervals", check_two_kinds),
-        ("northeast filling", check_fill_ne),
-        ("star action relations", check_star_action_relations),
-        ("descent diagram intervals", check_descent_diagram_invariants),
-        ("ribbons free", check_ribbons_free),
-    ],
-    "class": [
-        ("iso oracle", check_class_oracle),
-        ("class structure", check_class_structure),
-        ("class census", check_class_census),
-        ("moves preserve descents", check_move_preserves_descents),
-    ],
-    "family": [
-        ("closed forms vs BFS", check_family_vs_bfs),
-        ("diagram freeness", check_family_freeness),
-        ("singleton classes", check_singleton_class),
-        ("twisted translates", check_twisted_translates),
-        ("tableau bijections", check_tableau_bijection_sweep),
-    ],
-    "module": [
-        ("relation suite", check_module_relations),
-        ("one-dimensional actions", check_one_dimensional_action),
-        ("dimension audits", check_dimension_audits),
-        ("twist consistency", check_twist_consistency),
-        ("intertwiner ladder", check_intertwiner_ladder),
-        ("hulls and covers", check_hull_cover_families),
-        ("projective decompositions", check_projective_decompositions),
-    ],
-}
-
-
-def run_suite(name: str, nmax: int, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Run one suite (or 'all'); returns (check name, ok, detail) rows."""
-    if nmax < 1:
-        raise DomainError(f"nmax must be at least 1, got {nmax}")
-    names = list(SUITES) if name == "all" else [name]
-    rows = []
-    for suite in names:
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite {suite!r}")
-        for check_name, fn in SUITES[suite]:
-            ok, detail = fn(nmax, seed)
-            rows.append((f"{suite}:{check_name}", ok, detail))
-    return rows
+@row("module", "projective decompositions", subset_pairs, 6,
+     "projective summand dimensions audit cleanly")
+def check_projective_decompositions(S: frozenset[int], T: frozenset[int], n: int) -> str | None:
+    full = frozenset(range(1, n))
+    summands = hecke.projective_decomposition(S, T, n)
+    total = sum(descent_class(full - set_of(a), full - set_of(a), n).size for a in summands)
+    expected = descent_class(S, T, n).size
+    if total != expected:
+        return (
+            f"projective dimensions for S={sorted(S)}, T={sorted(T)} "
+            f"sum to {total}, descent class has {expected}"
+        )

@@ -103,7 +103,7 @@ def test_criterion_3_roundtrip_sweep():
 
 
 def test_criterion_4_oracle_equivalence():
-    ok, detail = check_class_oracle(5, 0, samples=500)
+    ok, detail = check_class_oracle(5, 0)
     report(4, ok, detail + " (S4 exhaustive, 500 sampled S5 pairs)")
 
 

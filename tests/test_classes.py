@@ -8,6 +8,7 @@ import pytest
 
 from wol import classes, permutations, verify
 from wol.classes import (
+    class_from_json,
     class_tableau_bijection,
     class_to_json,
     dp_iso_exists,
@@ -27,6 +28,7 @@ from wol.permutations import (
     descents,
     identity,
     inverse,
+    length,
     longest_element,
     parse_perm,
     weak_interval,
@@ -347,6 +349,32 @@ def test_class_json_and_dot():
     assert dot.startswith("digraph")
     assert dot.count("->") == 11
     assert '[label="s3"]' in dot
+
+
+def test_hasse_edges_point_up_in_length():
+    # hasse_dot draws every edge (a, b, i) from member a to member b.
+    for I in all_left_intervals(4):
+        C = equiv_class(I)
+        assert all(length(C.members[a].lo) < length(C.members[b].lo) for a, b, _ in C.hasse)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ([0, 9, 1], "has an index out of range"),
+        ([-1, 1, 1], "has an index out of range"),
+        ([0, 1, 6], "has an index out of range"),
+        ([1, 0, 1], "does not go up"),
+        ([0, 1, 2], "lo of 0 times s_2 is not lo of 1"),
+    ],
+)
+def test_class_from_json_rejects_a_bad_hasse_edge(edge, message):
+    data = json.loads(class_to_json(nine_class()))
+    assert data["hasse"][0] == [0, 1, 3]
+    assert class_from_json(json.dumps(data)) == nine_class()
+    data["hasse"][0] = edge
+    with pytest.raises(DomainError, match=message):
+        class_from_json(json.dumps(data))
 
 
 def test_one_step_moves_rejects_right_intervals():

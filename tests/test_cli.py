@@ -204,6 +204,18 @@ def test_verify_suite(capsys):
     assert "6/6 checks passed" in out
 
 
+def test_verify_fails_the_rows_without_cases(capsys):
+    code, out, _ = capture(["verify", "--suite", "all", "--nmax", "1"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line.split("  ")[1].strip() for line in lines if line.startswith("FAIL")]
+    assert failed == ["perm:coset decomposition", "poset:relabel classification"]
+    assert sum(line.endswith("  no cases for n <= 1") for line in lines) == 2
+    # The seeded diagram sample does not shrink with nmax.
+    assert any("diagram:reflections" in line and "(50 cases, n = 2..8)" in line for line in lines)
+    assert lines[-1] == "30/32 checks passed"
+
+
 def test_verify_rejects_an_unknown_suite(capsys):
     with pytest.raises(SystemExit) as info:
         run(["verify", "--suite", "bogus"])
