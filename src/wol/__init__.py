@@ -55,24 +55,11 @@ from .descent_diagrams import (
     lower_minmax,
     upper_minmax,
 )
-from .classes import (
-    EquivClass,
-    class_tableau_bijection,
-    dp_iso_exists,
-    equiv_class,
-    one_step_moves,
-)
+from .classes import EquivClass, dp_iso_exists, equiv_class, one_step_moves
 from .tableaux import enumerate_family, family_class, sink_source
-from .hecke import (
-    HeckeModule,
-    hull_or_cover,
-    intertwiner_from_dp_iso,
-    module_B,
-    module_Bbar,
-    module_M,
-    module_SPIT,
-    projective_decomposition,
-    twist_theta_chi,
-)
+from .hulls import hull_or_cover, projective_decomposition
+
+# The 0-Hecke modules are in wol.hecke, which needs numpy; it is not
+# imported here, so that the shell commands run without numpy.
 
 __version__ = "0.1.0"

@@ -18,9 +18,8 @@ for isomorphisms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagrams import Diagram, Filling, enumerate_ST, poset_of_filling, reading, reflect
 from .errors import DomainError, InternalError, ResourceCapError, resolve_cap
 from .permutations import (
     LEFT,
@@ -31,23 +30,18 @@ from .permutations import (
     inv_mask,
     inverse,
     mult_s_right,
-    parse_perm,
     right_interval_bfs,
     weak_interval,
 )
-from .posets import sigma_L_interval
 
 __all__ = [
     "EquivClass",
-    "BijectionReport",
     "one_step_moves",
     "equiv_class",
     "class_key",
     "dp_iso_exists",
     "dp_iso_find",
-    "class_tableau_bijection",
     "class_to_json",
-    "class_from_json",
     "hasse_dot",
 ]
 
@@ -82,8 +76,7 @@ def one_step_moves(I: WeakInterval) -> list[tuple[int, WeakInterval]]:
     ]
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(NamedTuple):
     """One equivalence class, in canonical member order.
 
     Members are sorted by (lo, hi); hasse edges (a, b, i) record
@@ -202,60 +195,6 @@ def dp_iso_exists(I: WeakInterval, J: WeakInterval) -> bool:
     return class_key(I) == class_key(J)
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    """Outcome of matching a class against the standard tableaux of a diagram."""
-
-    ok: bool
-    pairing: tuple[tuple[Filling, WeakInterval], ...]
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def class_tableau_bijection(C: EquivClass, D: Diagram) -> BijectionReport:
-    """Verify that T -> Sigma_L(P_{T^x}) is an order isomorphism from
-    (ST(D^x), <=) onto (C, <=), returning the explicit pairing.
-
-    The pairwise order comparison tests inversion-set containment on
-    masks computed once per tableau and member.
-    """
-    tableaux = enumerate_ST(reflect(D, "x_axis"))
-    if len(tableaux) != C.size:
-        return BijectionReport(
-            False, (), f"|ST(D^x)| = {len(tableaux)} but |C| = {C.size}"
-        )
-    member_set = {(J.lo, J.hi): J for J in C.members}
-    pairing = []
-    images = set()
-    for T in tableaux:
-        J = sigma_L_interval(poset_of_filling(reflect(T, "x_axis")))
-        key = (J.lo, J.hi)
-        if key not in member_set:
-            return BijectionReport(False, (), f"tableau maps outside the class: {J}")
-        if key in images:
-            return BijectionReport(False, (), f"two tableaux map to {J}")
-        images.add(key)
-        pairing.append((T, member_set[key]))
-    # T <= U in ST(D^x) iff readingTBLR(T) <=_L readingTBLR(U); the class
-    # order compares lower endpoints on the right.
-    word_masks = [inv_mask(reading(T, "TBLR")) for T, _ in pairing]
-    lo_masks = [inv_mask(inverse(J.lo)) for _, J in pairing]
-    m = len(pairing)
-    for a in range(m):
-        for b in range(m):
-            st_le = word_masks[a] & ~word_masks[b] == 0
-            cls_le = lo_masks[a] & ~lo_masks[b] == 0
-            if st_le != cls_le:
-                return BijectionReport(
-                    False,
-                    tuple(pairing),
-                    f"order mismatch at {pairing[a][1]} vs {pairing[b][1]}",
-                )
-    return BijectionReport(True, tuple(pairing), "verified")
-
-
 def class_to_json(C: EquivClass) -> str:
     return json.dumps(
         {
@@ -265,32 +204,6 @@ def class_to_json(C: EquivClass) -> str:
             "min": C.min_index,
             "max": C.max_index,
         }
-    )
-
-
-def class_from_json(text: str) -> EquivClass:
-    """The class written by ``class_to_json``.  ``hasse_dot`` relies on each
-    hasse edge (a, b, i) having a < b and members[a].lo s_i = members[b].lo."""
-    data = json.loads(text)
-    members = tuple(
-        weak_interval(parse_perm(lo), parse_perm(hi), LEFT)
-        for lo, hi in data["members"]
-    )
-    hasse = tuple(tuple(e) for e in data["hasse"])
-    for a, b, i in hasse:
-        if not (0 <= a < len(members) and 0 <= b < len(members) and 0 < i < members[0].n):
-            raise DomainError(f"hasse edge {[a, b, i]} has an index out of range")
-        if a >= b:
-            raise DomainError(f"hasse edge {[a, b, i]} does not go up: {a} >= {b}")
-        if mult_s_right(members[a].lo, i) != members[b].lo:
-            raise DomainError(f"hasse edge {[a, b, i]}: lo of {a} times s_{i} is not lo of {b}")
-    return EquivClass(
-        members[0].n,
-        members,
-        parse_perm(data["xi"]),
-        hasse,
-        int(data["min"]),
-        int(data["max"]),
     )
 
 

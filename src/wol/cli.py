@@ -4,11 +4,15 @@ Command-line front end.
 Subcommands: class, diagram, minmax, hull, cover, family, verify, hasse.
 Results go to stdout; errors are emitted as one JSON object on stderr.
 Exit codes: 0 success, 1 domain error, 2 resource-cap error, 3 usage.
+
+A shell call starts a fresh interpreter, so this module imports only
+what the commands run: no command but ``verify`` loads ``hecke`` or
+numpy, ``verify`` loads the oracles when it runs, and argparse is
+imported when the parser is first built.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -22,7 +26,7 @@ from .descent_diagrams import (
 )
 from .diagrams import Diagram, diagram_to_json, enumerate_ST, reading, st_leq
 from .errors import DomainError, ResourceCapError
-from .hecke import hull_or_cover
+from .hulls import hull_or_cover
 from .permutations import (
     LEFT,
     format_perm,
@@ -37,12 +41,6 @@ USAGE_EXIT = 3
 # The keys of ``verify.SUITES``, in order.  Kept here so that building the
 # parser does not import the oracles: only ``wol verify`` loads them.
 SUITE_NAMES = ("perm", "poset", "diagram", "class", "family", "module")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(json.dumps({"error": "usage", "message": message}), file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
 
 
 def parse_alpha(text: str) -> tuple[int, ...]:
@@ -64,8 +62,16 @@ def _interval_json(I) -> list[str]:
     return [format_perm(I.lo), format_perm(I.hi)]
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="wol", description=__doc__)
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            print(json.dumps({"error": "usage", "message": message}), file=sys.stderr)
+            raise SystemExit(USAGE_EXIT)
+
+    # The docstring's last paragraph is about this module, not for --help.
+    parser = _Parser(prog="wol", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("class", help="equivalence class of a left interval")
@@ -262,7 +268,7 @@ _COMMANDS = {
 
 # Built on the first run() and reused: parse_args keeps no state between
 # calls, and importing wol without running the CLI does not pay for it.
-_parser: _Parser | None = None
+_parser = None
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -9,8 +9,7 @@ as the antidiagonal reflection of D_{S^c; w_0 sigma}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .compositions import Composition, is_peak, validate_composition
 from .errors import DomainError, InternalError, OrderError, ShapeError
@@ -82,8 +81,7 @@ def build_D_S_rho(S: Iterable[int], rho: Perm) -> Diagram:
     return Diagram(frozenset(cells))
 
 
-@dataclass(frozen=True)
-class UpperDiagram:
+class UpperDiagram(NamedTuple):
     """D_{sigma;S} with its construction parameters kept alongside.
 
     The southwest filling depends on (sigma, S), not on the cell set

@@ -40,9 +40,7 @@ __all__ = [
     "is_free_upper_right",
     "free_violation",
     "diagram_to_json",
-    "diagram_from_json",
     "filling_to_json",
-    "filling_from_json",
 ]
 
 Cell = tuple[int, int]
@@ -519,11 +517,6 @@ def diagram_to_json(D: Diagram) -> str:
     return json.dumps({"n": D.n, "cells": [list(c) for c in sorted(D.cells)]})
 
 
-def diagram_from_json(text: str) -> Diagram:
-    data = json.loads(text)
-    return Diagram(frozenset(tuple(c) for c in data["cells"]))
-
-
 def filling_to_json(F: Filling) -> str:
     return json.dumps(
         {
@@ -532,9 +525,3 @@ def filling_to_json(F: Filling) -> str:
             "entries": [list(e) for e in F.entries],
         }
     )
-
-
-def filling_from_json(text: str) -> Filling:
-    data = json.loads(text)
-    diagram = Diagram(frozenset(tuple(c) for c in data["cells"]))
-    return Filling(diagram, tuple(tuple(e) for e in data["entries"]))

@@ -1,64 +1,37 @@
 """
 0-Hecke modules as explicit integer generator matrices: interval modules,
-poset modules, the peak-tableau module, twists, intertwiners, and the
-injective-hull / projective-cover interval formulas.
+poset modules, the peak-tableau module, twists and intertwiners.
 
 Matrices always represent the idempotent generators pi_1..pi_{n-1}
-(column j holds the image of basis vector j); the flavor tag records
-whether the construction naturally acted through pi or through
-pi-bar = pi - 1.  The relations and intertwiners are checked by exact
-int64 products that read only the nonzero entries of the right-hand
-factor: a column of the generators built here holds at most two
-nonzeros, so a product costs O(dim^2), not the O(dim^3) of a dense one.
+(column j holds the image of basis vector j); a construction that acts
+naturally through pi-bar = pi - 1 is converted to pi as it is built.  The
+relations and intertwiners are checked by exact int64 products that read
+only the nonzero entries of the right-hand factor: a column of the
+generators built here holds at most two nonzeros, so a product costs
+O(dim^2), not the O(dim^3) of a dense one.
+
+This is the only module outside ``verify`` that imports numpy, and no
+shell command but ``verify`` imports it: the hull and cover formulas,
+which build no module, are in ``hulls``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compositions import (
-    Composition,
-    all_compositions,
-    is_peak,
-    set_of,
-    validate_composition,
-)
+from .compositions import is_peak, validate_composition
 from .classes import dp_iso_find
-from .descent_diagrams import build_D_S_rho, build_D_sigma_S, family_diagram
-from .diagrams import (
-    Diagram,
-    Filling,
-    canonical_fill,
-    filling_from_json,
-    filling_to_json,
-    free_violation,
-    profiles,
-    reading,
-    reflect,
-)
-from .errors import DomainError, InternalError, OrderError, ShapeError
-from .permutations import (
-    LEFT,
-    Perm,
-    WeakInterval,
-    descents,
-    format_perm,
-    longest_parabolic,
-    mult_s_left,
-    parse_perm,
-    w1,
-    weak_interval,
-)
+from .diagrams import Filling
+from .errors import DomainError, InternalError, ShapeError
+from .permutations import LEFT, Perm, WeakInterval, descents, mult_s_left
 from .posets import Poset, linear_extensions_L
 from .tableaux import enumerate_family
 
 __all__ = [
     "HeckeModule",
-    "HullCoverResult",
     "module_B",
     "module_Bbar",
     "module_M",
@@ -67,16 +40,7 @@ __all__ = [
     "twist_theta_chi",
     "intertwiner_from_dp_iso",
     "signed_intertwiner",
-    "hull_interval",
-    "cover_interval",
-    "hull_or_cover",
-    "projective_decomposition",
-    "module_to_json",
-    "module_from_json",
 ]
-
-PI = "pi"
-PI_BAR = "pi_bar"
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +50,6 @@ class HeckeModule:
     n: int
     basis: tuple
     pis: tuple[np.ndarray, ...]
-    flavor: str
 
     @property
     def dim(self) -> int:
@@ -96,7 +59,7 @@ class HeckeModule:
         return self.pis[i - 1] - np.eye(self.dim, dtype=np.int64)
 
     def __repr__(self) -> str:
-        return f"HeckeModule(n={self.n}, dim={self.dim}, flavor={self.flavor!r})"
+        return f"HeckeModule(n={self.n}, dim={self.dim})"
 
 
 def _columns(B: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -152,7 +115,7 @@ def check_relations(M: HeckeModule) -> None:
                 raise InternalError(f"far commutation fails at ({i}, {j})")
 
 
-def _module_from_action(n, basis, act, flavor):
+def _module_from_action(n, basis, act):
     """Assemble matrices from an action callback act(i, b) -> list of
     (coefficient, basis element)."""
     index = {b: k for k, b in enumerate(basis)}
@@ -164,7 +127,7 @@ def _module_from_action(n, basis, act, flavor):
             for coeff, image in act(i, b):
                 A[index[image], col] += coeff
         pis.append(A)
-    M = HeckeModule(n, tuple(basis), tuple(pis), flavor)
+    M = HeckeModule(n, tuple(basis), tuple(pis))
     check_relations(M)
     return M
 
@@ -184,7 +147,7 @@ def module_B(I: WeakInterval) -> HeckeModule:
     if I.side != LEFT:
         raise DomainError("interval modules take left intervals")
     basis = I.elements
-    return _module_from_action(I.n, basis, _interval_action(frozenset(basis)), PI)
+    return _module_from_action(I.n, basis, _interval_action(frozenset(basis)))
 
 
 def module_Bbar(I: WeakInterval) -> HeckeModule:
@@ -202,13 +165,13 @@ def module_Bbar(I: WeakInterval) -> HeckeModule:
         h = mult_s_left(g, i)
         return [(1, g), (1, h)] if h in elements else [(1, g)]
 
-    return _module_from_action(I.n, basis, act, PI_BAR)
+    return _module_from_action(I.n, basis, act)
 
 
 def module_M(P: Poset) -> HeckeModule:
     """The poset module on the left linear extensions of P."""
     basis = linear_extensions_L(P)
-    return _module_from_action(P.n, basis, _interval_action(frozenset(basis)), PI)
+    return _module_from_action(P.n, basis, _interval_action(frozenset(basis)))
 
 
 def module_SPIT(alpha: Iterable[int]) -> HeckeModule:
@@ -242,7 +205,7 @@ def module_SPIT(alpha: Iterable[int]) -> HeckeModule:
                 out.append((1, moved))
         return out
 
-    return _module_from_action(n, basis, act, PI_BAR)
+    return _module_from_action(n, basis, act)
 
 
 def twist_theta_chi(M: HeckeModule) -> HeckeModule:
@@ -251,7 +214,7 @@ def twist_theta_chi(M: HeckeModule) -> HeckeModule:
     dim = M.dim
     eye = np.eye(dim, dtype=np.int64)
     pis = tuple(eye - A.T for A in M.pis)
-    out = HeckeModule(M.n, M.basis, pis, M.flavor)
+    out = HeckeModule(M.n, M.basis, pis)
     check_relations(out)
     return out
 
@@ -343,151 +306,3 @@ def intertwiner_from_dp_iso(I: WeakInterval, J: WeakInterval) -> dict[Perm, Perm
     index_J = {g: k for k, g in enumerate(MJ.basis)}
     pairing = [(k, index_J[mapping[g]]) for k, g in enumerate(MI.basis)]
     return mapping if signed_intertwiner(MI, MJ, pairing) is not None else None
-
-
-@dataclass(frozen=True)
-class HullCoverResult:
-    """An injective hull or projective cover, as a descent-class interval."""
-
-    kind: str  # "injective_hull" | "projective_cover"
-    interval: WeakInterval
-    lower_set: frozenset[int]
-    upper_set: frozenset[int]
-
-    @property
-    def is_projective_indecomposable(self) -> bool:
-        return self.lower_set == self.upper_set
-
-
-def _require_free(D: Diagram) -> None:
-    violation = free_violation(D)
-    if violation is not None:
-        raise OrderError(
-            f"diagram is not free of a strictly upper-right configuration: {violation}"
-        )
-
-
-def _descent_class_result(
-    kind: str, A: frozenset[int], B: frozenset[int], n: int
-) -> HullCoverResult:
-    """The hull or cover [w_0(A), w_1(B)]_L, a descent class when A <= B."""
-    if not A <= B:
-        raise InternalError(f"{kind} interval is not a descent class")
-    return HullCoverResult(
-        kind,
-        weak_interval(longest_parabolic(A, n), w1(B, n), LEFT),
-        frozenset(A),
-        frozenset(B),
-    )
-
-
-def hull_interval(D: Diagram) -> HullCoverResult:
-    """Injective hull of the module of a free diagram's lower interval:
-    [w_0(Des_L(readingBTLR(F^right))), w_1(set(r(D)))]_L."""
-    _require_free(D)
-    A = descents(reading(canonical_fill(D, "right"), "BTLR"), LEFT)
-    B = set_of(profiles(D)[0])
-    return _descent_class_result("injective_hull", A, B, D.n)
-
-
-def cover_interval(D: Diagram) -> HullCoverResult:
-    """Projective cover of the module of a free diagram's upper interval:
-    [w_0(set(c(D))^c), w_1(Des_L(readingLRBT(F^down)))]_L."""
-    _require_free(D)
-    A = frozenset(range(1, D.n)) - set_of(profiles(D)[1])
-    B = descents(reading(canonical_fill(D, "down"), "LRBT"), LEFT)
-    return _descent_class_result("projective_cover", A, B, D.n)
-
-
-# family kind -> (general formula, family diagram, whether it is transposed);
-# the twisted families RV, RX, RShat live on the transposed base diagrams.
-_FAMILY_FORMULAS = {
-    "V": (hull_interval, "V", False),
-    "X": (hull_interval, "X", False),
-    "Shat": (hull_interval, "Shat", False),
-    "Q-hull": (hull_interval, "Q", False),
-    "Q-cover": (cover_interval, "Q", False),
-    "RV": (cover_interval, "V", True),
-    "RX": (cover_interval, "X", True),
-    "RShat": (cover_interval, "Shat", True),
-}
-
-
-def hull_or_cover(kind: str, **params) -> HullCoverResult:
-    """Hulls and covers by the paper's general formula.
-
-    kind "lower" takes S and rho; "upper" takes sigma and S.  The family
-    kinds take alpha and run the general formula on the family's diagram;
-    the families' closed forms are checked against it in ``verify``.
-    A missing parameter is a DomainError naming the kind and the parameter.
-    """
-    descent_params = {"lower": ("S", "rho"), "upper": ("sigma", "S")}
-    if kind not in descent_params and kind not in _FAMILY_FORMULAS:
-        raise DomainError(f"unknown hull/cover kind {kind!r}")
-    missing = [name for name in descent_params.get(kind, ("alpha",)) if name not in params]
-    if missing:
-        raise DomainError(f"hull/cover kind {kind!r} needs parameter {missing[0]!r}")
-    if kind == "lower":
-        S, rho = frozenset(params["S"]), params["rho"]
-        return hull_interval(build_D_S_rho(S, rho))
-    if kind == "upper":
-        sigma, S = params["sigma"], frozenset(params["S"])
-        return cover_interval(build_D_sigma_S(sigma, S).diagram)
-    alpha = validate_composition(params["alpha"])
-    formula, family, transposed = _FAMILY_FORMULAS[kind]
-    D = family_diagram(family, alpha)
-    return formula(reflect(D, "transpose") if transposed else D)
-
-
-def projective_decomposition(
-    S: Iterable[int], T: Iterable[int], n: int
-) -> list[Composition]:
-    """Compositions alpha of n with S <= set(alpha)^c <= T: the projective
-    indecomposable summands of B over the descent class [w_0(S), w_1(T)]_L."""
-    S, T = frozenset(S), frozenset(T)
-    if not S <= T:
-        raise OrderError(f"S must be contained in T: {sorted(S)} vs {sorted(T)}")
-    full = frozenset(range(1, n))
-    return [alpha for alpha in all_compositions(n) if S <= full - set_of(alpha) <= T]
-
-
-def module_to_json(M: HeckeModule) -> str:
-    def label(b):
-        if isinstance(b, tuple):
-            return format_perm(b)
-        return json.loads(filling_to_json(b))
-
-    return json.dumps(
-        {
-            "n": M.n,
-            "flavor": M.flavor,
-            "basis": [label(b) for b in M.basis],
-            "pi": [A.tolist() for A in M.pis],
-        }
-    )
-
-
-def module_from_json(text: str) -> HeckeModule:
-    data = json.loads(text)
-    basis = tuple(
-        parse_perm(b) if isinstance(b, str) else filling_from_json(json.dumps(b))
-        for b in data["basis"]
-    )
-    n, dim = int(data["n"]), len(basis)
-    if n < 1:
-        raise DomainError(f"a module needs n >= 1, got n = {n}")
-    if len(set(basis)) != dim:
-        raise DomainError("the basis repeats a label")
-    if len(data["pi"]) != n - 1:
-        raise DomainError(f"a module for n = {n} needs {n - 1} generators, got {len(data['pi'])}")
-    pis = []
-    for i, A in enumerate(data["pi"], start=1):
-        try:
-            pis.append(np.array(A, dtype=np.int64))
-        except ValueError:
-            raise DomainError(f"pi_{i} is not a rectangular integer matrix") from None
-        if pis[-1].shape != (dim, dim):
-            raise DomainError(f"pi_{i} has shape {pis[-1].shape}, not {dim} x {dim} for the basis")
-    M = HeckeModule(n, basis, tuple(pis), data["flavor"])
-    check_relations(M)
-    return M

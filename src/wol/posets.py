@@ -9,7 +9,6 @@ closure is taken at construction and antisymmetry is checked.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator
 
 from .errors import DomainError, OrderError, ResourceCapError, resolve_cap
@@ -35,8 +34,6 @@ __all__ = [
     "classify_pair",
     "relabel",
     "bar",
-    "poset_to_json",
-    "poset_from_json",
 ]
 
 COVERING = "covering"
@@ -244,12 +241,3 @@ def bar(P: Poset) -> Poset:
     n = P.n
     rels = [(n + 1 - a, n + 1 - b) for a, b in P.strict_pairs()]
     return Poset(n, rels)
-
-
-def poset_to_json(P: Poset) -> str:
-    return json.dumps({"n": P.n, "covers": [list(c) for c in P.covers()]})
-
-
-def poset_from_json(text: str) -> Poset:
-    data = json.loads(text)
-    return Poset(int(data["n"]), [tuple(c) for c in data["covers"]])

@@ -8,8 +8,7 @@ All enumerations return fillings in ascending LRTB reading order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .compositions import (
     Composition,
@@ -225,8 +224,7 @@ def sink_source(family: str, alpha: Iterable[int], which: str) -> Filling:
     return result
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(NamedTuple):
     """Closed-form description of a module family's equivalence class."""
 
     family: str

@@ -29,11 +29,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import hecke, tableaux
+from . import hecke, hulls, tableaux
 from .classes import (
     EquivClass,
     class_key,
-    class_tableau_bijection,
     dp_iso_exists,
     dp_iso_find,
     equiv_class,
@@ -56,6 +55,7 @@ from .descent_diagrams import (
 )
 from .diagrams import (
     Diagram,
+    Filling,
     canonical_fill,
     diagram_of,
     enumerate_ST,
@@ -289,6 +289,22 @@ def upper_intervals(n: int, seed: int) -> Iterator[tuple[Perm, frozenset[int]]]:
         for sigma in all_perms(n):
             if weak_leq(sigma, top, LEFT):
                 yield sigma, S
+
+
+def free_lower_intervals(n: int, seed: int) -> Iterator[tuple[frozenset[int], Perm, Diagram]]:
+    """(S, rho, D_{S;rho}) for the lower descent intervals whose diagram is free."""
+    for S, rho in lower_intervals(n, seed):
+        D = build_D_S_rho(S, rho)
+        if is_free_upper_right(D):
+            yield S, rho, D
+
+
+def free_upper_intervals(n: int, seed: int) -> Iterator[tuple[Perm, frozenset[int], Diagram]]:
+    """(sigma, S, D_{sigma;S}) for the upper descent intervals whose diagram is free."""
+    for sigma, S in upper_intervals(n, seed):
+        D = build_D_sigma_S(sigma, S).diagram
+        if is_free_upper_right(D):
+            yield sigma, S, D
 
 
 def intervals_with_posets(n: int, seed: int) -> Iterator[tuple[WeakInterval, Poset]]:
@@ -888,21 +904,70 @@ def check_twisted_translates(alpha: tuple[int, ...]) -> str | None:
             return f"R{kind}({alpha}) is not the w0-translate"
 
 
-def _upper_bijection(sigma: Perm, S: frozenset[int]) -> str | None:
-    ud = build_D_sigma_S(sigma, S)
-    if not is_free_upper_right(ud.diagram):
-        return None
+@dataclass(frozen=True)
+class BijectionReport:
+    """Outcome of matching a class against the standard tableaux of a diagram."""
+
+    ok: bool
+    pairing: tuple[tuple[Filling, WeakInterval], ...]
+    detail: str
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def class_tableau_bijection(C: EquivClass, D: Diagram) -> BijectionReport:
+    """Verify that T -> Sigma_L(P_{T^x}) is an order isomorphism from
+    (ST(D^x), <=) onto (C, <=), returning the explicit pairing.
+
+    The pairwise order comparison tests inversion-set containment on
+    masks computed once per tableau and member.
+    """
+    tabs = enumerate_ST(reflect(D, "x_axis"))
+    if len(tabs) != C.size:
+        return BijectionReport(
+            False, (), f"|ST(D^x)| = {len(tabs)} but |C| = {C.size}"
+        )
+    member_set = {(J.lo, J.hi): J for J in C.members}
+    pairing = []
+    images = set()
+    for T in tabs:
+        J = sigma_L_interval(poset_of_filling(reflect(T, "x_axis")))
+        key = (J.lo, J.hi)
+        if key not in member_set:
+            return BijectionReport(False, (), f"tableau maps outside the class: {J}")
+        if key in images:
+            return BijectionReport(False, (), f"two tableaux map to {J}")
+        images.add(key)
+        pairing.append((T, member_set[key]))
+    # T <= U in ST(D^x) iff readingTBLR(T) <=_L readingTBLR(U); the class
+    # order compares lower endpoints on the right.
+    word_masks = [inv_mask(reading(T, "TBLR")) for T, _ in pairing]
+    lo_masks = [inv_mask(inverse(J.lo)) for _, J in pairing]
+    m = len(pairing)
+    for a in range(m):
+        for b in range(m):
+            st_le = word_masks[a] & ~word_masks[b] == 0
+            cls_le = lo_masks[a] & ~lo_masks[b] == 0
+            if st_le != cls_le:
+                return BijectionReport(
+                    False,
+                    tuple(pairing),
+                    f"order mismatch at {pairing[a][1]} vs {pairing[b][1]}",
+                )
+    return BijectionReport(True, tuple(pairing), "verified")
+
+
+def _upper_bijection(sigma: Perm, S: frozenset[int], D: Diagram) -> str | None:
     C = equiv_class(weak_interval(sigma, w1(S, len(sigma)), LEFT))
-    if not class_tableau_bijection(C, ud.diagram):
+    if not class_tableau_bijection(C, D):
         return f"bijection fails for ({sigma}, {sorted(S)})"
 
 
-@row("family", "tableau bijections", lower_intervals, 5,
-     "free-diagram classes match their standard tableaux", (upper_intervals, 5, _upper_bijection))
-def check_tableau_bijection_sweep(S: frozenset[int], rho: Perm) -> str | None:
-    D = build_D_S_rho(S, rho)
-    if not is_free_upper_right(D):
-        return None
+@row("family", "tableau bijections", free_lower_intervals, 5,
+     "free-diagram classes match their standard tableaux",
+     (free_upper_intervals, 5, _upper_bijection))
+def check_tableau_bijection_sweep(S: frozenset[int], rho: Perm, D: Diagram) -> str | None:
     C = equiv_class(weak_interval(longest_parabolic(S, len(rho)), rho, LEFT))
     if not class_tableau_bijection(C, D):
         return f"bijection fails for ({sorted(S)}, {rho})"
@@ -1031,7 +1096,7 @@ def family_closed_form(
     kind: str, alpha: tuple[int, ...]
 ) -> tuple[frozenset[int], frozenset[int] | None]:
     """The (A, B) of a family hull or cover [w_0(A), w_1(B)]_L by the
-    paper's closed forms, for checking against ``hecke.hull_or_cover``.
+    paper's closed forms, for checking against ``hulls.hull_or_cover``.
 
     B is None for Q-cover, whose closed form fixes only A.  Shat has no
     closed form of its own, so RShat is read off the transposed Shat hull.
@@ -1040,7 +1105,7 @@ def family_closed_form(
     if kind in ("RV", "RX", "RShat"):
         base = kind[1:]
         if base == "Shat":
-            hull_lower = hecke.hull_or_cover(base, alpha=alpha).lower_set
+            hull_lower = hulls.hull_or_cover(base, alpha=alpha).lower_set
         else:
             hull_lower = family_closed_form(base, alpha)[0]
         r_set = set_of(profiles(family_diagram(base, alpha))[0])
@@ -1075,7 +1140,7 @@ def check_hull_cover_families(alpha: tuple[int, ...]) -> str | None:
     if is_peak(alpha):
         kinds += ["Q-hull", "Q-cover"]
     for kind in kinds:
-        result = hecke.hull_or_cover(kind, alpha=alpha)
+        result = hulls.hull_or_cover(kind, alpha=alpha)
         if not result.lower_set <= result.upper_set:
             return f"{kind}({alpha}) is not a descent class"
         if kind == "Shat":
@@ -1093,7 +1158,7 @@ def check_hull_cover_families(alpha: tuple[int, ...]) -> str | None:
      "projective summand dimensions audit cleanly")
 def check_projective_decompositions(S: frozenset[int], T: frozenset[int], n: int) -> str | None:
     full = frozenset(range(1, n))
-    summands = hecke.projective_decomposition(S, T, n)
+    summands = hulls.projective_decomposition(S, T, n)
     total = sum(descent_class(full - set_of(a), full - set_of(a), n).size for a in summands)
     expected = descent_class(S, T, n).size
     if total != expected:

@@ -7,7 +7,7 @@ bounds.
 
 import time
 
-from wol.classes import class_tableau_bijection, equiv_class
+from wol.classes import equiv_class
 from wol.descent_diagrams import build_D_S_rho, family_diagram
 from wol.permutations import (
     LEFT,
@@ -27,6 +27,7 @@ from wol.verify import (
     check_module_relations,
     check_tableau_bijection_sweep,
     check_twist_consistency,
+    class_tableau_bijection,
 )
 
 GOLDEN_CELLS = frozenset({(1, 2), (2, 1), (2, 2), (3, 3), (4, 2), (4, 3)})

@@ -1,15 +1,12 @@
 """Equivalence classes: moves, enumeration by translation, and the tableau
 bijection."""
 
-import dataclasses
 import json
 
 import pytest
 
 from wol import classes, permutations, verify
 from wol.classes import (
-    class_from_json,
-    class_tableau_bijection,
     class_to_json,
     dp_iso_exists,
     dp_iso_find,
@@ -36,7 +33,13 @@ from wol.permutations import (
 )
 from wol.posets import COMPARABLE_NONCOVERING, classify_pair, interval_to_poset
 from wol.tableaux import FAMILY_MODULES, family_class
-from wol.verify import all_left_intervals, check_class_oracle, class_by_moves, class_census
+from wol.verify import (
+    all_left_intervals,
+    check_class_oracle,
+    class_by_moves,
+    class_census,
+    class_tableau_bijection,
+)
 
 NINE_MEMBERS = [
     ("132456", "142563"),
@@ -160,7 +163,7 @@ def test_class_oracle_detects_a_dropped_right_cover(monkeypatch):
     def dropped_cover(I, cap=None):
         # the class of one interval loses one right cover
         C = translated(I, cap)
-        return dataclasses.replace(C, hasse=C.hasse[1:]) if I == target else C
+        return C._replace(hasse=C.hasse[1:]) if I == target else C
 
     monkeypatch.setattr(verify, "equiv_class", dropped_cover)
     assert check_class_oracle(4, 0) == (
@@ -356,25 +359,6 @@ def test_hasse_edges_point_up_in_length():
     for I in all_left_intervals(4):
         C = equiv_class(I)
         assert all(length(C.members[a].lo) < length(C.members[b].lo) for a, b, _ in C.hasse)
-
-
-@pytest.mark.parametrize(
-    "edge, message",
-    [
-        ([0, 9, 1], "has an index out of range"),
-        ([-1, 1, 1], "has an index out of range"),
-        ([0, 1, 6], "has an index out of range"),
-        ([1, 0, 1], "does not go up"),
-        ([0, 1, 2], "lo of 0 times s_2 is not lo of 1"),
-    ],
-)
-def test_class_from_json_rejects_a_bad_hasse_edge(edge, message):
-    data = json.loads(class_to_json(nine_class()))
-    assert data["hasse"][0] == [0, 1, 3]
-    assert class_from_json(json.dumps(data)) == nine_class()
-    data["hasse"][0] = edge
-    with pytest.raises(DomainError, match=message):
-        class_from_json(json.dumps(data))
 
 
 def test_one_step_moves_rejects_right_intervals():

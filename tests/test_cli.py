@@ -242,13 +242,46 @@ print(after_family, after_verify, wol.cli.SUITE_NAMES == tuple(verify.SUITES))
 """
 
 
-def test_only_the_verify_command_imports_the_oracles():
+def fresh_interpreter(code: str) -> str:
+    """The standard output of ``code`` run in a new interpreter that imports
+    this wol; the run must exit 0 and write nothing to stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(wol.__file__).parents[1])}
-    probe = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_PROBE], capture_output=True, text=True, env=env
-    )
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (probe.returncode, probe.stderr) == (0, "")
-    assert probe.stdout == "False True True\n"
+    return probe.stdout
+
+
+def test_only_the_verify_command_imports_the_oracles():
+    assert fresh_interpreter(IMPORT_PATH_PROBE) == "False True True\n"
+
+
+SHELL_COMMANDS = [
+    ["class", "--lo", "2134", "--hi", "4321"],
+    ["hull", "--S", "{2}", "--rho", "142563"],
+    ["cover", "--sigma", "345126", "--S", "{3}"],
+    ["family", "--kind", "Q", "--alpha", "(3,2,3,1)"],
+    ["minmax", "--S", "{2,5}", "--rho", "231564"],
+    ["diagram", "--S", "{2,5}", "--rho", "231564"],
+    ["hasse", "--cells", "[[1,1],[2,1],[1,2],[2,2]]"],
+]
+
+SHELL_PATH_PROBE = f"""
+import io, sys
+from contextlib import redirect_stdout
+import wol, wol.cli
+with redirect_stdout(io.StringIO()):
+    codes = [wol.cli.run(argv) for argv in {SHELL_COMMANDS!r}]
+print(codes, [name for name in ("numpy", "wol.hecke") if name in sys.modules])
+"""
+
+
+def test_the_shell_commands_run_without_numpy():
+    assert fresh_interpreter(SHELL_PATH_PROBE) == f"{[0] * len(SHELL_COMMANDS)} []\n"
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    code = "import sys, wol.cli; print('argparse' in sys.modules)"
+    assert fresh_interpreter(code) == "False\n"
 
 
 @pytest.mark.parametrize("nmax", [0, -3])

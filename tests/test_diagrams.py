@@ -10,14 +10,11 @@ from wol.diagrams import (
     Diagram,
     canonical_fill,
     count_ST,
-    diagram_from_json,
     diagram_of,
     diagram_to_json,
     enumerate_ST,
     fill_from_map,
     fill_ne,
-    filling_from_json,
-    filling_to_json,
     hecke_star,
     is_free_upper_right,
     is_standard_tableau,
@@ -251,10 +248,7 @@ def test_is_free_upper_right_examples():
     assert not is_free_upper_right(SIX_CELL)
 
 
-def test_json_roundtrips():
-    assert diagram_from_json(diagram_to_json(SIX_CELL)) == SIX_CELL
-    F = canonical_fill(SIX_CELL, "down")
-    assert filling_from_json(filling_to_json(F)) == F
+def test_diagram_to_json_golden():
     assert diagram_to_json(FREE_SIX) == (
         '{"n": 6, "cells": [[1, 1], [2, 1], [2, 2], [3, 2], [4, 2], [5, 1]]}'
     )

@@ -1,12 +1,11 @@
 """0-Hecke modules: constructions, relations, twists, hulls, and covers."""
 
-import json
 import re
 
 import numpy as np
 import pytest
 
-from wol import hecke
+from wol import hecke, hulls
 from wol.compositions import all_compositions, comp_of, is_peak, set_of
 
 from wol.diagrams import reading
@@ -14,18 +13,15 @@ from wol.errors import DomainError, InternalError, OrderError
 from wol.hecke import (
     HeckeModule,
     check_relations,
-    hull_or_cover,
     intertwiner_from_dp_iso,
     module_B,
     module_Bbar,
     module_M,
     module_SPIT,
-    module_from_json,
-    module_to_json,
-    projective_decomposition,
     signed_intertwiner,
     twist_theta_chi,
 )
+from wol.hulls import hull_or_cover, projective_decomposition
 from wol.permutations import (
     LEFT,
     all_perms,
@@ -238,13 +234,13 @@ def test_hull_cover_shortcuts_agree(n):
 
 def test_hull_cover_family_check_detects_a_wrong_interval(monkeypatch):
     assert check_hull_cover_families(5, 0)[0]
-    general = hecke.hull_or_cover
+    general = hulls.hull_or_cover
 
     def wrong_for_x(kind, **params):
         # the V interval in place of the X one
         return general("V" if kind == "X" else kind, **params)
 
-    monkeypatch.setattr(hecke, "hull_or_cover", wrong_for_x)
+    monkeypatch.setattr(hulls, "hull_or_cover", wrong_for_x)
     ok, detail = check_hull_cover_families(5, 0)
     assert not ok
     assert detail.startswith("X(")
@@ -259,22 +255,11 @@ def test_projective_decomposition_examples():
         projective_decomposition({2}, {1}, 4)
 
 
-def test_module_json():
-    I = weak_interval((1, 2, 3), (2, 1, 3), LEFT)
-    data = json.loads(module_to_json(module_B(I)))
-    assert data["n"] == 3 and data["flavor"] == "pi"
-    assert data["basis"] == ["123", "213"]
-    assert len(data["pi"]) == 2
-    spit = json.loads(module_to_json(module_SPIT((2, 2))))
-    assert spit["basis"][0]["entries"]
-
-
 def test_relation_checker_detects_breakage():
     bad = HeckeModule(
         3,
         ("a", "b"),
         (np.array([[1, 1], [0, 1]]), np.array([[0, 0], [0, 0]])),
-        "pi",
     )
     with pytest.raises(Exception):
         check_relations(bad)
@@ -316,7 +301,7 @@ def test_sparse_product_equals_dense(name):
 
 def four_strand_module(pi_1, pi_2, pi_3) -> HeckeModule:
     pis = tuple(np.array(A, dtype=np.int64) for A in (pi_1, pi_2, pi_3))
-    return HeckeModule(4, ("a", "b"), pis, "pi")
+    return HeckeModule(4, ("a", "b"), pis)
 
 
 # Idempotents of the plane with AB = A and BA = B: braids with the
@@ -346,33 +331,15 @@ def test_relation_checker_names_the_broken_relation(pis, relation):
     "pi_1", [[[1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0]], [[1]]], ids=["2x3", "zero 2x3", "1x1"]
 )
 def test_relation_checker_rejects_a_generator_of_the_wrong_shape(pi_1):
-    M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int64),), "pi")
+    M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int64),))
     with pytest.raises(InternalError, match="pi_1 is not a 2 x 2 matrix"):
         check_relations(M)
 
 
 def test_relation_checker_counts_the_generators():
-    M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int64),), "pi")
+    M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int64),))
     with pytest.raises(InternalError, match="expected 2 generators for n = 3, got 1"):
         check_relations(M)
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"n": 3, "basis": ["123"], "pi": [[[1]]]}, "n = 3 needs 2 generators, got 1"),
-        ({"n": 2, "basis": ["12"], "pi": [[[1]], [[1]], [[0]]]}, "n = 2 needs 1 generators, got 3"),
-        ({"n": 2, "basis": ["12", "21"], "pi": [[[1, 0, 0], [0, 1, 0]]]}, r"pi_1 has shape \(2, 3\)"),
-        ({"n": 2, "basis": ["12"], "pi": [[[1, 0], [0, 1]]]}, r"pi_1 has shape \(2, 2\), not 1 x 1"),
-        ({"n": 2, "basis": ["12", "21"], "pi": [[[1], [0, 1]]]}, "pi_1 is not a rectangular"),
-        ({"n": 2, "basis": ["12", "12"], "pi": [[[1, 0], [0, 1]]]}, "the basis repeats a label"),
-        ({"n": 0, "basis": ["1"], "pi": []}, "a module needs n >= 1, got n = 0"),
-    ],
-    ids=["too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0"],
-)
-def test_module_from_json_rejects_malformed_generators(data, message):
-    with pytest.raises(DomainError, match=message):
-        module_from_json(json.dumps({"flavor": "pi", **data}))
 
 
 def test_signed_intertwiner_rejects_a_pairing_that_is_not_a_bijection():

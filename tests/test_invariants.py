@@ -10,9 +10,9 @@ import wol.diagrams
 import wol.errors
 import wol.permutations
 import wol.posets
-from wol.classes import class_from_json, class_to_json, equiv_class
+from wol.classes import equiv_class
 from wol.compositions import all_compositions, set_of
-from wol.descent_diagrams import build_D_S_rho, lower_minmax
+from wol.descent_diagrams import build_D_S_rho, build_D_sigma_S, lower_minmax
 from wol.diagrams import (
     canonical_fill,
     diagram_of,
@@ -24,7 +24,7 @@ from wol.diagrams import (
     tableau_T,
 )
 from wol.errors import ResourceCapError
-from wol.hecke import module_B, module_from_json, module_to_json, module_SPIT
+from wol.hulls import hull_or_cover
 from wol.permutations import (
     LEFT,
     parse_perm,
@@ -32,6 +32,7 @@ from wol.permutations import (
     weak_interval,
     weak_leq,
 )
+from wol.tableaux import family_class
 from wol.verify import (
     check_class_oracle,
     check_descent_diagram_invariants,
@@ -157,27 +158,43 @@ def test_descent_diagram_invariants_n5():
     assert ok, detail
 
 
-def test_class_json_roundtrip():
-    C = equiv_class(weak_interval(parse_perm("132456"), parse_perm("142563"), LEFT))
-    back = class_from_json(class_to_json(C))
-    assert back == C
-
-
-def test_module_json_roundtrip():
-    import numpy as np
-
-    M = module_B(weak_interval(parse_perm("1324"), parse_perm("3421"), LEFT))
-    back = module_from_json(module_to_json(M))
-    assert back.n == M.n and back.basis == M.basis and back.flavor == M.flavor
-    assert all(np.array_equal(a, b) for a, b in zip(back.pis, M.pis))
-    S = module_SPIT((2, 2))
-    back = module_from_json(module_to_json(S))
-    assert back.basis == S.basis
-
-
 def test_star_down_equals_right_of_star_sampled():
     # (F_down of D)^* = F_right of D^* on a wider sample
     for D in random_diagrams(100, 8, seed=31):
         assert reflect(canonical_fill(D, "down"), "star") == canonical_fill(
             reflect(D, "star"), "right"
         )
+
+
+# The plain records are named tuples: built like the frozen dataclasses
+# they replace, immutable, and equal and hashed by value.
+RECORDS = {
+    "EquivClass": lambda: equiv_class(
+        weak_interval(parse_perm("132456"), parse_perm("142563"), LEFT)
+    ),
+    "UpperDiagram": lambda: build_D_sigma_S(parse_perm("546213"), {1, 3, 4}),
+    "ClassSummary": lambda: family_class("Q", (3, 2, 3, 1)),
+    "HullCoverResult": lambda: hull_or_cover("lower", S={2}, rho=parse_perm("142563")),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+def test_records_are_immutable_values(record):
+    a, b = RECORDS[record](), RECORDS[record]()
+    assert type(a).__name__ == record
+    assert a is not b and a == b and hash(a) == hash(b)
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    changed = a._replace(**{a._fields[0]: None})
+    assert changed != a and a == b
+
+
+def test_record_properties():
+    C = RECORDS["EquivClass"]()
+    # bench/tracing.py counts class members by ``result.size``.
+    assert C.size == len(C.members) == 9
+    assert (C.min, C.max) == (C.members[C.min_index], C.members[C.max_index])
+    hull = RECORDS["HullCoverResult"]()
+    assert hull.lower_set == hull.upper_set == frozenset({3})
+    assert hull.is_projective_indecomposable is True

@@ -24,8 +24,6 @@ from wol.posets import (
     interval_to_poset,
     is_regular,
     linear_extensions_L,
-    poset_from_json,
-    poset_to_json,
     relabel,
     sigma_L_interval,
 )
@@ -151,12 +149,6 @@ def test_bar_examples():
         lhs = sorted(linear_extensions_L(bar(P)))
         rhs = sorted(compose(g, w0) for g in linear_extensions_L(P))
         assert lhs == rhs
-
-
-def test_poset_json_roundtrip():
-    P = five_node_poset()
-    assert poset_from_json(poset_to_json(P)) == P
-    assert poset_to_json(P) == '{"n": 5, "covers": [[1, 4], [2, 4], [2, 5], [3, 2]]}'
 
 
 def test_hasse_isos_yields_every_coloured_isomorphism():

@@ -1,5 +1,6 @@
 """Import boundaries between wol modules: no private names cross modules,
-and the brute-force oracles of ``wol.verify`` stay out of the library."""
+the brute-force oracles of ``wol.verify`` stay out of the library, and
+numpy stays in the modules that build Hecke matrices."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,14 @@ def test_dense_products_stay_in_verify():
             if isinstance(node, ast.MatMult) or named and identifiers(node) & {"dot", "matmul"}:
                 offending.append(f"{name}:{getattr(node, 'lineno', '?')}")
     assert offending == []
+
+
+def test_only_hecke_and_verify_import_numpy():
+    """The shell commands other than ``verify`` run without numpy."""
+    importers = {
+        name
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if any(module.split(".")[0] == "numpy" for module in imported_modules(node))
+    }
+    assert sorted(importers) == ["hecke.py", "verify.py"]

@@ -88,3 +88,13 @@ def test_checks_build_a_shared_domain_once_per_n():
     assert run_check(first, 5, 0, cases) == (True, "first holds (3 cases, n = 1..3)")
     assert run_check(second, 5, 0, cases) == (True, "second holds (2 cases, n = 1..2)")
     assert calls == [1, 2, 3]
+
+
+def test_tableau_bijections_count_only_the_free_diagrams():
+    # 271 lower and 271 upper descent intervals of S_1..S_5 have a free
+    # diagram; the row checks those and no others.
+    (check,) = [check for check in SUITES["family"] if check.name == "tableau bijections"]
+    assert run_check(check, 5, 0) == (
+        True,
+        "free-diagram classes match their standard tableaux (542 cases, n = 1..5)",
+    )
