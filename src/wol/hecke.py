@@ -10,9 +10,9 @@ only the nonzero entries of the right-hand factor: a column of the
 generators built here holds at most two nonzeros, so a product costs
 O(dim^2), not the O(dim^3) of a dense one.
 
-This is the only module outside ``verify`` that imports numpy, and no
-shell command but ``verify`` imports it: the hull and cover formulas,
-which build no module, are in ``hulls``.
+No shell command but ``verify`` imports this module or numpy: the hull
+and cover formulas, which build no module, are in ``hulls``, and the
+module JSON, which no command reads or writes, is in ``module_json``.
 """
 
 from __future__ import annotations

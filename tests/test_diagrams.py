@@ -1,5 +1,6 @@
 """Diagrams, fillings, reading words, standard tableaux, and the star action."""
 
+import json
 from itertools import permutations as _perms
 
 import pytest
@@ -8,6 +9,7 @@ from wol.compositions import all_compositions, set_of
 from wol.descent_diagrams import family_diagram
 from wol.diagrams import (
     Diagram,
+    Filling,
     canonical_fill,
     count_ST,
     diagram_of,
@@ -15,6 +17,7 @@ from wol.diagrams import (
     enumerate_ST,
     fill_from_map,
     fill_ne,
+    filling_to_json,
     hecke_star,
     is_free_upper_right,
     is_standard_tableau,
@@ -248,7 +251,14 @@ def test_is_free_upper_right_examples():
     assert not is_free_upper_right(SIX_CELL)
 
 
-def test_diagram_to_json_golden():
+def test_json_roundtrips():
+    data = json.loads(diagram_to_json(SIX_CELL))
+    assert Diagram(frozenset(tuple(c) for c in data["cells"])) == SIX_CELL
+    F = canonical_fill(SIX_CELL, "down")
+    data = json.loads(filling_to_json(F))
+    assert data["n"] == F.n
+    rebuilt = Diagram(frozenset(tuple(c) for c in data["cells"]))
+    assert Filling(rebuilt, tuple(tuple(e) for e in data["entries"])) == F
     assert diagram_to_json(FREE_SIX) == (
         '{"n": 6, "cells": [[1, 1], [2, 1], [2, 2], [3, 2], [4, 2], [5, 1]]}'
     )

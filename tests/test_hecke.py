@@ -1,5 +1,6 @@
 """0-Hecke modules: constructions, relations, twists, hulls, and covers."""
 
+import json
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from wol.hecke import (
     twist_theta_chi,
 )
 from wol.hulls import hull_or_cover, projective_decomposition
+from wol.module_json import module_from_json, module_to_json
 from wol.permutations import (
     LEFT,
     all_perms,
@@ -255,6 +257,18 @@ def test_projective_decomposition_examples():
         projective_decomposition({2}, {1}, 4)
 
 
+def test_module_json():
+    I = weak_interval((1, 2, 3), (2, 1, 3), LEFT)
+    text = module_to_json(module_B(I))
+    assert text == '{"n": 3, "basis": ["123", "213"], "pi": [[[0, 0], [1, 1]], [[0, 0], [0, 0]]]}'
+    data = json.loads(text)
+    assert data["n"] == 3
+    assert data["basis"] == ["123", "213"]
+    assert len(data["pi"]) == 2
+    spit = json.loads(module_to_json(module_SPIT((2, 2))))
+    assert spit["basis"][0]["entries"]
+
+
 def test_relation_checker_detects_breakage():
     bad = HeckeModule(
         3,
@@ -340,6 +354,24 @@ def test_relation_checker_counts_the_generators():
     M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int64),))
     with pytest.raises(InternalError, match="expected 2 generators for n = 3, got 1"):
         check_relations(M)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3, "basis": ["123"], "pi": [[[1]]]}, "n = 3 needs 2 generators, got 1"),
+        ({"n": 2, "basis": ["12"], "pi": [[[1]], [[1]], [[0]]]}, "n = 2 needs 1 generators, got 3"),
+        ({"n": 2, "basis": ["12", "21"], "pi": [[[1, 0, 0], [0, 1, 0]]]}, r"pi_1 has shape \(2, 3\)"),
+        ({"n": 2, "basis": ["12"], "pi": [[[1, 0], [0, 1]]]}, r"pi_1 has shape \(2, 2\), not 1 x 1"),
+        ({"n": 2, "basis": ["12", "21"], "pi": [[[1], [0, 1]]]}, "pi_1 is not a rectangular"),
+        ({"n": 2, "basis": ["12", "12"], "pi": [[[1, 0], [0, 1]]]}, "the basis repeats a label"),
+        ({"n": 0, "basis": ["1"], "pi": []}, "a module needs n >= 1, got n = 0"),
+    ],
+    ids=["too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0"],
+)
+def test_module_from_json_rejects_malformed_generators(data, message):
+    with pytest.raises(DomainError, match=message):
+        module_from_json(json.dumps(data))
 
 
 def test_signed_intertwiner_rejects_a_pairing_that_is_not_a_bijection():
