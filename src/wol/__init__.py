@@ -20,7 +20,7 @@ from .permutations import (
     weak_interval,
     weak_leq,
 )
-from .compositions import comp_of, is_peak, set_of, transform
+from .compositions import comp_of, is_peak, set_of
 from .posets import (
     Poset,
     classify_pair,

@@ -25,7 +25,6 @@ __all__ = [
     "complement",
     "transpose",
     "sort_parts",
-    "transform",
     "subset_reverse",
     "subset_transpose",
     "is_peak",
@@ -111,21 +110,6 @@ def transpose(alpha: Iterable[int]) -> Composition:
 def sort_parts(alpha: Iterable[int]) -> Composition:
     """The underlying partition: parts in weakly decreasing order."""
     return tuple(sorted(validate_composition(alpha), reverse=True))
-
-
-_TRANSFORMS = {
-    "reverse": reverse,
-    "complement": complement,
-    "transpose": transpose,
-    "sort": sort_parts,
-}
-
-
-def transform(alpha: Iterable[int], op: str) -> Composition:
-    """Apply one of the named operations: reverse, complement, transpose, sort."""
-    if op not in _TRANSFORMS:
-        raise DomainError(f"unknown transform {op!r}")
-    return _TRANSFORMS[op](alpha)
 
 
 def subset_reverse(I: Iterable[int], n: int) -> frozenset[int]:

@@ -31,7 +31,6 @@ __all__ = [
     "fill_ne",
     "poset_of_filling",
     "reading",
-    "reading_by_order",
     "enumerate_ST",
     "count_ST",
     "is_standard_tableau",
@@ -368,14 +367,6 @@ def _reading_dr(F: Filling) -> Perm:
         for x in range(start, alpha[j - 1] + 1):
             word.append(F.value_at(x, j))
     return validate_perm(tuple(word))
-
-
-def reading_by_order(F: Filling, R: Filling) -> Perm:
-    """Read F's entries in the cell order specified by the filling R."""
-    if R.diagram != F.diagram:
-        raise ShapeError("order filling must share the diagram")
-    word = tuple(F.value_at(*R.cell_of(v)) for v in range(1, F.n + 1))
-    return validate_perm(word)
 
 
 def is_standard_tableau(F: Filling) -> bool:

@@ -4,11 +4,16 @@ poset modules, the peak-tableau module, twists and intertwiners.
 
 Matrices always represent the idempotent generators pi_1..pi_{n-1}
 (column j holds the image of basis vector j); a construction that acts
-naturally through pi-bar = pi - 1 is converted to pi as it is built.  The
-relations and intertwiners are checked by exact int64 products that read
-only the nonzero entries of the right-hand factor: a column of the
-generators built here holds at most two nonzeros, so a product costs
-O(dim^2), not the O(dim^3) of a dense one.
+naturally through pi-bar = pi - 1 is converted to pi as it is built.
+Every generator built here has entries in {-1, 0, 1}, so generators are
+stored as int8, one byte per entry; ``check_relations`` refuses any other
+dtype, and a construction whose entry would leave the int8 range raises
+InternalError instead of storing a wrapped value.  The relations and
+intertwiners are checked by products that read only the nonzero entries
+of the right-hand factor, as int64, so no product multiplies two int8
+numbers and every product is exact: a column of the generators built
+here holds at most two nonzeros, so a product costs O(dim^2), not the
+O(dim^3) of a dense one.
 
 No shell command but ``verify`` imports this module or numpy: the hull
 and cover formulas, which build no module, are in ``hulls``, and the
@@ -17,6 +22,7 @@ module JSON, which no command reads or writes, is in ``module_json``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,10 +48,12 @@ __all__ = [
     "signed_intertwiner",
 ]
 
+INT8 = np.iinfo(np.int8)
+
 
 @dataclass(frozen=True, eq=False)
 class HeckeModule:
-    """A finite-dimensional module given by its pi-generator matrices."""
+    """A finite-dimensional module given by its int8 pi-generator matrices."""
 
     n: int
     basis: tuple
@@ -56,18 +64,27 @@ class HeckeModule:
         return len(self.basis)
 
     def pi_bar(self, i: int) -> np.ndarray:
+        """pi_i - 1, in int64 and so exact."""
         return self.pis[i - 1] - np.eye(self.dim, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"HeckeModule(n={self.n}, dim={self.dim})"
 
 
+def _as_int8(A: np.ndarray, what: str) -> np.ndarray:
+    """The integer array A as int8: an entry outside the int8 range raises
+    InternalError, so that no wrapped value is ever stored."""
+    if A.size and (A.min() < INT8.min or A.max() > INT8.max):
+        raise InternalError(f"{what} has an entry outside the int8 range {INT8.min}..{INT8.max}")
+    return A.astype(np.int8)
+
+
 def _columns(B: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The nonzero entries of the square matrix B as layers (columns,
-    rows, values), with at most one entry per column in each layer: layer
-    k holds the k-th nonzero of every column that has more than k."""
+    rows, int64 values), with at most one entry per column in each layer:
+    layer k holds the k-th nonzero of every column that has more than k."""
     cols, rows = np.nonzero(B.T)  # sorted by column, then by row
-    vals = B[rows, cols]
+    vals = B[rows, cols].astype(np.int64)
     rank = np.arange(cols.size) - np.searchsorted(cols, cols)
     layers = []
     for k in range(rank.max(initial=-1) + 1):
@@ -79,7 +96,8 @@ def _columns(B: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 def _product(A: np.ndarray, layers) -> np.ndarray:
     """A @ B, exactly in int64, for B given by ``_columns(B)``: column c
     of the product gains v times column r of A for each entry (r, c, v)
-    of B.  The cost is O(k dim^2) for k the most nonzeros in a column."""
+    of B.  The values v are int64, so an int8 A is widened before it is
+    multiplied.  The cost is O(k dim^2) for k the most nonzeros in a column."""
     out = np.zeros(A.shape, dtype=np.int64)
     for cols, rows, vals in layers:
         out[:, cols] += A[:, rows] * vals
@@ -87,8 +105,8 @@ def _product(A: np.ndarray, layers) -> np.ndarray:
 
 
 def check_relations(M: HeckeModule) -> None:
-    """Verify that there are n - 1 generators, each dim x dim,
-    idempotence, the braid relation, and far commutation.
+    """Verify that there are n - 1 generators, each a dim x dim int8
+    matrix, idempotence, the braid relation, and far commutation.
 
     Raises InternalError on failure; constructors call this and it must
     never fire on well-formed input.
@@ -99,6 +117,8 @@ def check_relations(M: HeckeModule) -> None:
     for i, A in enumerate(mats, start=1):
         if A.shape != (M.dim, M.dim):
             raise InternalError(f"pi_{i} is not a {M.dim} x {M.dim} matrix")
+        if A.dtype != np.int8:
+            raise InternalError(f"pi_{i} has dtype {A.dtype}, not int8")
     layers = [_columns(A) for A in mats]
     for i, (A, L) in enumerate(zip(mats, layers), start=1):
         if not np.array_equal(_product(A, L), A):
@@ -116,16 +136,21 @@ def check_relations(M: HeckeModule) -> None:
 
 
 def _module_from_action(n, basis, act):
-    """Assemble matrices from an action callback act(i, b) -> list of
-    (coefficient, basis element)."""
+    """Assemble int8 matrices from an action callback act(i, b) -> list of
+    (coefficient, basis element); the coefficients of each entry are
+    summed exactly before the sum is stored."""
     index = {b: k for k, b in enumerate(basis)}
     dim = len(basis)
     pis = []
     for i in range(1, n):
-        A = np.zeros((dim, dim), dtype=np.int64)
+        entries: Counter = Counter()
         for b, col in index.items():
             for coeff, image in act(i, b):
-                A[index[image], col] += coeff
+                entries[index[image], col] += coeff
+        A = np.zeros((dim, dim), dtype=np.int8)
+        if entries:
+            rows, cols = zip(*entries)
+            A[rows, cols] = _as_int8(np.array(list(entries.values())), f"pi_{i}")
         pis.append(A)
     M = HeckeModule(n, tuple(basis), tuple(pis))
     check_relations(M)
@@ -210,10 +235,10 @@ def module_SPIT(alpha: Iterable[int]) -> HeckeModule:
 
 def twist_theta_chi(M: HeckeModule) -> HeckeModule:
     """The dual-space twist: the new pi-bar matrices are the transposes
-    of the negated pi matrices."""
-    dim = M.dim
-    eye = np.eye(dim, dtype=np.int64)
-    pis = tuple(eye - A.T for A in M.pis)
+    of the negated pi matrices.  The difference is taken in int16, where
+    it is exact for int8 generators, and stored as int8."""
+    eye = np.eye(M.dim, dtype=np.int16)
+    pis = tuple(_as_int8(eye - A.T, f"the twist of pi_{i}") for i, A in enumerate(M.pis, start=1))
     out = HeckeModule(M.n, M.basis, pis)
     check_relations(out)
     return out
@@ -265,7 +290,8 @@ def signed_intertwiner(
                 t = A[b, a]
                 if t == 0:
                     continue
-                u = B[to2[b], to2[a]]
+                # as Python ints, whose abs cannot wrap at -128
+                t, u = int(t), int(B[to2[b], to2[a]])
                 if u == 0 or abs(t) != abs(u):
                     return None
                 rel = 1 if t == u else -1
@@ -283,7 +309,7 @@ def signed_intertwiner(
                 if b not in eps:
                     eps[b] = eps[a] * rel
                     stack.append(b)
-    phi = np.zeros((dim, dim), dtype=np.int64)
+    phi = np.zeros((dim, dim), dtype=np.int8)
     for a in range(dim):
         phi[to2[a], a] = eps[a]
     phi_layers = _columns(phi)

@@ -2,7 +2,8 @@
 The JSON form of a 0-Hecke module: n, the basis labels (a permutation in
 one-line notation, or a filling as its n, cells and entries) and the
 generator matrices pi_1..pi_{n-1}, column j holding the image of basis
-vector j.
+vector j.  The reader takes integer entries in the int8 range, the range
+in which ``wol.hecke`` stores generators, and nothing else.
 
 No shell command reads or writes module JSON, so neither ``import wol``
 nor ``wol.cli`` imports this module; import it by name.
@@ -11,12 +12,13 @@ nor ``wol.cli`` imports this module; import it by name.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .diagrams import Diagram, Filling, filling_to_json
 from .errors import DomainError
-from .hecke import HeckeModule, check_relations
+from .hecke import INT8, HeckeModule, check_relations
 from .permutations import format_perm, parse_perm
 
 __all__ = ["module_to_json", "module_from_json"]
@@ -42,6 +44,26 @@ def _filling(data: dict) -> Filling:
     return Filling(diagram, tuple(tuple(e) for e in data["entries"]))
 
 
+def _generator(i: int, rows, dim: int) -> np.ndarray:
+    """pi_i of the JSON text as a dim x dim int8 matrix.  Every entry must
+    be a JSON integer (not a float, a bool or a string) in the int8 range;
+    a DomainError says which one is not."""
+    try:
+        shape = np.shape(rows)
+    except ValueError:
+        raise DomainError(f"pi_{i} is not a rectangular integer matrix") from None
+    if shape != (dim, dim):
+        raise DomainError(f"pi_{i} has shape {shape}, not {dim} x {dim} for the basis")
+    for entry in chain.from_iterable(rows):
+        if isinstance(entry, bool) or not isinstance(entry, int):
+            raise DomainError(f"pi_{i} has the entry {json.dumps(entry)}, not an integer")
+        if not INT8.min <= entry <= INT8.max:
+            raise DomainError(
+                f"pi_{i} has the entry {entry}, outside the int8 range {INT8.min}..{INT8.max}"
+            )
+    return np.array(rows, dtype=np.int8)
+
+
 def module_from_json(text: str) -> HeckeModule:
     """The module of ``module_to_json``'s text, its generators checked:
     a DomainError for malformed input, and the relations by
@@ -55,14 +77,7 @@ def module_from_json(text: str) -> HeckeModule:
         raise DomainError("the basis repeats a label")
     if len(data["pi"]) != n - 1:
         raise DomainError(f"a module for n = {n} needs {n - 1} generators, got {len(data['pi'])}")
-    pis = []
-    for i, A in enumerate(data["pi"], start=1):
-        try:
-            pis.append(np.array(A, dtype=np.int64))
-        except ValueError:
-            raise DomainError(f"pi_{i} is not a rectangular integer matrix") from None
-        if pis[-1].shape != (dim, dim):
-            raise DomainError(f"pi_{i} has shape {pis[-1].shape}, not {dim} x {dim} for the basis")
-    M = HeckeModule(n, basis, tuple(pis))
+    pis = tuple(_generator(i, A, dim) for i, A in enumerate(data["pi"], start=1))
+    M = HeckeModule(n, basis, pis)
     check_relations(M)
     return M

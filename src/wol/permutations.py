@@ -50,7 +50,6 @@ __all__ = [
     "coset_decompose",
     "format_perm",
     "parse_perm",
-    "format_subset",
     "parse_subset",
 ]
 
@@ -412,13 +411,8 @@ def parse_perm(text: str) -> Perm:
     return validate_perm(w)
 
 
-def format_subset(S: Iterable[int]) -> str:
-    """Render a generator subset as "{2,5}"; the empty set as "{}"."""
-    return "{" + ",".join(str(i) for i in sorted(S)) + "}"
-
-
 def parse_subset(text: str) -> frozenset[int]:
-    """Inverse of :func:`format_subset`.
+    """A generator subset written as "{2,5}", or "{}" for the empty set.
 
     >>> sorted(parse_subset("{2,5}"))
     [2, 5]

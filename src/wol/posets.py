@@ -25,7 +25,6 @@ __all__ = [
     "COMPARABLE_NONCOVERING",
     "INCOMPARABLE",
     "chain",
-    "antichain",
     "linear_extensions_L",
     "is_regular",
     "interval_to_poset",
@@ -118,10 +117,6 @@ class Poset:
 
 def chain(n: int) -> Poset:
     return Poset(n, [(i, i + 1) for i in range(1, n)])
-
-
-def antichain(n: int) -> Poset:
-    return Poset(n)
 
 
 def linear_extensions_L(P: Poset, cap: int | None = None) -> tuple[Perm, ...]:

@@ -68,7 +68,7 @@ from .diagrams import (
     reflect,
     tableau_T,
 )
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, InternalError, ResourceCapError
 from .permutations import (
     LEFT,
     RIGHT,
@@ -305,6 +305,11 @@ def free_upper_intervals(n: int, seed: int) -> Iterator[tuple[Perm, frozenset[in
         D = build_D_sigma_S(sigma, S).diagram
         if is_free_upper_right(D):
             yield sigma, S, D
+
+
+def generated_intervals(n: int, seed: int) -> Iterator[tuple[WeakInterval]]:
+    """Every I in Int(n) for n >= 2, where B(I) has a generator."""
+    return ((I,) for I in all_left_intervals(n)) if n >= 2 else iter(())
 
 
 def intervals_with_posets(n: int, seed: int) -> Iterator[tuple[WeakInterval, Poset]]:
@@ -976,8 +981,9 @@ def check_tableau_bijection_sweep(S: frozenset[int], rho: Perm, D: Diagram) -> s
 def dense_relation_failure(M: hecke.HeckeModule) -> str | None:
     """The first 0-Hecke relation that M's generators break, in the words
     of ``hecke.check_relations``, or None: the same three relations by
-    dense matrix products, the oracle of the library's sparse products."""
-    mats = M.pis
+    dense matrix products, the oracle of the library's sparse products.
+    The int8 generators are widened to int64 first, so no product wraps."""
+    mats = [A.astype(np.int64) for A in M.pis]
     for i, A in enumerate(mats, start=1):
         if not np.array_equal(A @ A, A):
             return f"pi_{i} is not idempotent"
@@ -1005,9 +1011,31 @@ def _interval_module_relations(I: WeakInterval, P: Poset) -> str | None:
     return _dense_failure([M, hecke.module_Bbar(I), hecke.module_M(P), hecke.twist_theta_chi(M)])
 
 
+def _corrupted_module_rejected(I: WeakInterval) -> str | None:
+    # The negative control: B(I) with pi_1[0, 0] set to 2.  The generators
+    # of B are nonnegative, so (pi_1^2)[0, 0] >= 4 and pi_1 is no longer
+    # idempotent; both checkers must say so, in the same words.
+    M = hecke.module_B(I)
+    pi_1 = M.pis[0].copy()
+    pi_1[0, 0] = 2
+    bad = hecke.HeckeModule(M.n, M.basis, (pi_1, *M.pis[1:]))
+    expected = "pi_1 is not idempotent"
+    try:
+        hecke.check_relations(bad)
+    except InternalError as exc:
+        if str(exc) != expected:
+            return f"check_relations on B({I}) with pi_1[0, 0] = 2 says {exc}"
+    else:
+        return f"check_relations accepts B({I}) with pi_1[0, 0] = 2"
+    failure = dense_relation_failure(bad)
+    if failure != expected:
+        return f"the dense oracle on B({I}) with pi_1[0, 0] = 2 says {failure}"
+
+
 @row("module", "relation suite", compositions_of, 6,
      "all constructed modules satisfy the 0-Hecke relations",
-     (intervals_with_posets, 4, _interval_module_relations))
+     (intervals_with_posets, 4, _interval_module_relations),
+     (generated_intervals, 4, _corrupted_module_rejected))
 def check_module_relations(alpha: tuple[int, ...]) -> str | None:
     # Relation checking runs inside every constructor; the dense oracle
     # checks every module with n <= 4 once more.

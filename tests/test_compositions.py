@@ -14,7 +14,6 @@ from wol.compositions import (
     sort_parts,
     subset_reverse,
     subset_transpose,
-    transform,
     transpose,
 )
 from wol.errors import DomainError
@@ -35,15 +34,6 @@ def test_comp_of_examples():
     assert comp_of({4, 6}, 9) == (4, 2, 3)
     with pytest.raises(DomainError):
         comp_of({9}, 9)
-
-
-def test_transform_examples():
-    assert transform((6,), "complement") == (1,) * 6
-    assert transform((4, 2, 3), "transpose") == (1, 1, 2, 2, 1, 1, 1)
-    assert transform((3, 2, 4), "sort") == (4, 3, 2)
-    assert transform((3, 2, 4), "reverse") == (4, 2, 3)
-    with pytest.raises(DomainError):
-        transform((2, 1), "frobnicate")
 
 
 @pytest.mark.parametrize("n", range(0, 9))

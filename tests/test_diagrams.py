@@ -24,7 +24,6 @@ from wol.diagrams import (
     poset_of_filling,
     profiles,
     reading,
-    reading_by_order,
     reflect,
     st_leq,
     tableau_T,
@@ -129,15 +128,6 @@ def test_reading_examples():
         reading(canonical_fill(SIX_CELL, "down"), "RLBTBT")
     with pytest.raises(ShapeError):
         reading(canonical_fill(SIX_CELL, "down"), "DR")
-
-
-def test_reading_by_order():
-    D = diagram_of((2, 2), "composition")
-    F = canonical_fill(D, "right")
-    assert reading_by_order(F, F) == (1, 2, 3, 4)
-    assert reading_by_order(F, tableau_T(D, primed=False)) == reading(F, "LRBT")
-    with pytest.raises(ShapeError):
-        reading_by_order(F, canonical_fill(diagram_of((4,), "composition"), "right"))
 
 
 def test_tableau_T_reading_identities():

@@ -38,9 +38,11 @@ from wol.permutations import (
 )
 from wol.posets import interval_to_poset
 from wol.tableaux import enumerate_family, sink_source
+from wol import verify
 from wol.verify import (
     all_left_intervals,
     check_hull_cover_families,
+    check_module_relations,
     dense_relation_failure,
     family_closed_form,
 )
@@ -273,10 +275,85 @@ def test_relation_checker_detects_breakage():
     bad = HeckeModule(
         3,
         ("a", "b"),
-        (np.array([[1, 1], [0, 1]]), np.array([[0, 0], [0, 0]])),
+        (np.array([[1, 1], [0, 1]], dtype=np.int8), np.array([[0, 0], [0, 0]], dtype=np.int8)),
     )
-    with pytest.raises(Exception):
+    with pytest.raises(InternalError, match="pi_1 is not idempotent"):
         check_relations(bad)
+
+
+def builder_modules() -> dict[str, HeckeModule]:
+    I = weak_interval(parse_perm("1324"), parse_perm("3421"), LEFT)
+    M = module_B(I)
+    return {
+        "B": M,
+        "Bbar": module_Bbar(I),
+        "M": module_M(interval_to_poset(I)),
+        "SPIT": module_SPIT((3, 2, 2)),
+        "twist": twist_theta_chi(M),
+        "twisted Bbar": twist_theta_chi(module_Bbar(I)),
+    }
+
+
+@pytest.mark.parametrize("name", list(builder_modules()))
+def test_builders_store_int8_generators(name):
+    M = builder_modules()[name]
+    assert M.dim > 1
+    assert all(A.dtype == np.int8 for A in M.pis)
+    assert all(set(np.unique(A)) <= {-1, 0, 1} for A in M.pis)
+    assert M.pi_bar(1).dtype == np.int64
+
+
+def test_relation_checker_refuses_a_wider_dtype():
+    M = module_B(weak_interval((1, 2, 3), (3, 2, 1), LEFT))
+    wide = HeckeModule(M.n, M.basis, tuple(A.astype(np.int64) for A in M.pis))
+    with pytest.raises(InternalError, match="pi_1 has dtype int64, not int8"):
+        check_relations(wide)
+
+
+def test_sparse_product_is_exact_on_int8_factors():
+    # 100 * 2 and 100 + 100 + 100 both leave int8; the product must not wrap.
+    A = np.full((3, 3), 100, dtype=np.int8)
+    B = np.array([[2, 1, 0], [0, 1, -1], [0, 1, 0]], dtype=np.int8)
+    got = hecke._product(A, hecke._columns(B))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, A.astype(np.int64) @ B.astype(np.int64))
+    assert got[0, 0] == 200 and got[0, 1] == 300
+    assert not np.array_equal(got, A @ B)  # the int8 product wraps
+
+
+def test_a_construction_that_leaves_int8_raises():
+    def act(i, b):
+        return [(1, "a")] * 128
+
+    with pytest.raises(InternalError, match=r"pi_1 has an entry outside the int8 range -128\.\.127"):
+        hecke._module_from_action(2, ("a",), act)
+    edge = HeckeModule(2, ("a",), (np.array([[-128]], dtype=np.int8),))
+    with pytest.raises(InternalError, match="the twist of pi_1 has an entry outside the int8 range"):
+        twist_theta_chi(edge)
+
+
+@pytest.mark.parametrize("name", list(builder_modules()))
+def test_module_json_round_trip_keeps_dtype_and_text(name):
+    M = builder_modules()[name]
+    text = module_to_json(M)
+    back = module_from_json(text)
+    assert module_to_json(back) == text
+    assert back.basis == M.basis
+    for A, B in zip(back.pis, M.pis):
+        assert A.dtype == np.int8
+        assert np.array_equal(A, B)
+
+
+def test_relation_suite_fails_when_either_checker_is_dead(monkeypatch):
+    assert check_module_relations(4, 0)[0]
+    with monkeypatch.context() as m:
+        m.setattr(hecke, "check_relations", lambda M: None)
+        ok, detail = check_module_relations(4, 0)
+        assert not ok
+        assert detail == "check_relations accepts B([12, 12]_L) with pi_1[0, 0] = 2"
+    monkeypatch.setattr(verify, "dense_relation_failure", lambda M: None)
+    ok, detail = check_module_relations(4, 0)
+    assert not ok
 
 
 def sparse_case(name: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +391,7 @@ def test_sparse_product_equals_dense(name):
 
 
 def four_strand_module(pi_1, pi_2, pi_3) -> HeckeModule:
-    pis = tuple(np.array(A, dtype=np.int64) for A in (pi_1, pi_2, pi_3))
+    pis = tuple(np.array(A, dtype=np.int8) for A in (pi_1, pi_2, pi_3))
     return HeckeModule(4, ("a", "b"), pis)
 
 
@@ -345,13 +422,13 @@ def test_relation_checker_names_the_broken_relation(pis, relation):
     "pi_1", [[[1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0]], [[1]]], ids=["2x3", "zero 2x3", "1x1"]
 )
 def test_relation_checker_rejects_a_generator_of_the_wrong_shape(pi_1):
-    M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int64),))
+    M = HeckeModule(2, ("a", "b"), (np.array(pi_1, dtype=np.int8),))
     with pytest.raises(InternalError, match="pi_1 is not a 2 x 2 matrix"):
         check_relations(M)
 
 
 def test_relation_checker_counts_the_generators():
-    M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int64),))
+    M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int8),))
     with pytest.raises(InternalError, match="expected 2 generators for n = 3, got 1"):
         check_relations(M)
 
@@ -366,8 +443,22 @@ def test_relation_checker_counts_the_generators():
         ({"n": 2, "basis": ["12", "21"], "pi": [[[1], [0, 1]]]}, "pi_1 is not a rectangular"),
         ({"n": 2, "basis": ["12", "12"], "pi": [[[1, 0], [0, 1]]]}, "the basis repeats a label"),
         ({"n": 0, "basis": ["1"], "pi": []}, "a module needs n >= 1, got n = 0"),
+        ({"n": 2, "basis": ["12"], "pi": [[[1.5]]]}, "pi_1 has the entry 1.5, not an integer"),
+        ({"n": 2, "basis": ["12"], "pi": [[[True]]]}, "pi_1 has the entry true, not an integer"),
+        ({"n": 2, "basis": ["12"], "pi": [[["1"]]]}, 'pi_1 has the entry "1", not an integer'),
+        (
+            {"n": 2, "basis": ["12"], "pi": [[[2**70]]]},
+            rf"pi_1 has the entry {2**70}, outside the int8 range -128\.\.127",
+        ),
+        (
+            {"n": 2, "basis": ["12", "21"], "pi": [[[1, 0], [128, 1]]]},
+            r"pi_1 has the entry 128, outside the int8 range -128\.\.127",
+        ),
     ],
-    ids=["too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0"],
+    ids=[
+        "too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0",
+        "float", "bool", "string", "huge", "int8 edge",
+    ],
 )
 def test_module_from_json_rejects_malformed_generators(data, message):
     with pytest.raises(DomainError, match=message):

@@ -14,7 +14,6 @@ from wol.permutations import (
     descent_class,
     descents,
     format_perm,
-    format_subset,
     identity,
     inv_mask,
     inverse,
@@ -284,7 +283,6 @@ def test_text_formats():
     assert format_perm(parse_perm("231564")) == "231564"
     big = tuple([2, 1] + list(range(3, 15)))
     assert parse_perm(format_perm(big)) == big
-    assert format_subset({5, 2}) == "{2,5}"
     assert parse_subset("{2,5}") == frozenset({2, 5})
     assert parse_subset("{}") == frozenset()
     assert str(weak_interval((1, 2, 3), (3, 1, 2), LEFT)) == "[123, 312]_L"

@@ -16,7 +16,6 @@ from wol.posets import (
     COVERING,
     INCOMPARABLE,
     Poset,
-    antichain,
     bar,
     chain,
     classify_pair,
@@ -48,7 +47,7 @@ def test_poset_construction_and_closure():
 def test_linear_extensions_examples():
     n = 4
     assert linear_extensions_L(chain(n)) == (identity(n),)
-    assert linear_extensions_L(antichain(n)) == tuple(sorted(all_perms(n)))
+    assert linear_extensions_L(Poset(n)) == tuple(sorted(all_perms(n)))
     # the poset of the canonical filling for S = {2,5}, rho = 231564
     I = weak_interval(parse_perm("132465"), parse_perm("231564"), LEFT)
     P = interval_to_poset(I)
@@ -57,13 +56,13 @@ def test_linear_extensions_examples():
 
 def test_linear_extension_cap():
     with pytest.raises(ResourceCapError):
-        linear_extensions_L(antichain(10))
+        linear_extensions_L(Poset(10))
     assert len(linear_extensions_L(chain(10), cap=10)) == 1
 
 
 def test_is_regular_examples():
     assert is_regular(chain(5))
-    assert is_regular(antichain(4))
+    assert is_regular(Poset(4))
     assert not is_regular(Poset(3, [(1, 3)]))
     for I in all_left_intervals(4):
         assert is_regular(interval_to_poset(I))
@@ -74,13 +73,13 @@ def test_interval_to_poset_examples():
     assert interval_to_poset(weak_interval(identity(n), identity(n), LEFT)) == chain(n)
     assert interval_to_poset(
         weak_interval(identity(n), longest_element(n), LEFT)
-    ) == antichain(n)
+    ) == Poset(n)
 
 
 def test_extremes_examples():
     n = 5
     assert extremes_of_regular(chain(n)) == (identity(n), identity(n))
-    assert extremes_of_regular(antichain(n)) == (identity(n), longest_element(n))
+    assert extremes_of_regular(Poset(n)) == (identity(n), longest_element(n))
     I = weak_interval(parse_perm("132465"), parse_perm("231564"), LEFT)
     assert extremes_of_regular(interval_to_poset(I)) == (I.lo, I.hi)
     with pytest.raises(OrderError):
@@ -98,7 +97,7 @@ def test_roundtrip_exhaustive(n):
 
 def test_classify_pair_examples():
     assert classify_pair(chain(4), 2) == COVERING
-    assert classify_pair(antichain(4), 1) == INCOMPARABLE
+    assert classify_pair(Poset(4), 1) == INCOMPARABLE
     P = five_node_poset()
     assert classify_pair(P, 3) == COMPARABLE_NONCOVERING
     assert classify_pair(P, 2) == COVERING
@@ -137,7 +136,7 @@ def test_relabel_tracks_interval_translation():
 
 def test_bar_examples():
     n = 4
-    assert bar(antichain(n)) == antichain(n)
+    assert bar(Poset(n)) == Poset(n)
     flipped = bar(chain(n))
     assert flipped.leq(n, 1)
     from wol.permutations import compose
@@ -158,9 +157,9 @@ def test_hasse_isos_yields_every_coloured_isomorphism():
             for x in range(1, P.n + 1)
         }
 
-    flat = hasse(antichain(3))
+    flat = hasse(Poset(3))
     assert len(list(hasse_isos(flat, flat))) == 6
-    assert list(hasse_isos(flat, hasse(antichain(3), colour=lambda x: x == 1))) == []
+    assert list(hasse_isos(flat, hasse(Poset(3), colour=lambda x: x == 1))) == []
     P = five_node_poset()
     assert list(hasse_isos(hasse(P), hasse(P))) == [{x: x for x in range(1, 6)}]
     assert list(hasse_isos(hasse(P), hasse(relabel(P, 4)))) == [
