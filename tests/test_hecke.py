@@ -354,6 +354,7 @@ def test_relation_suite_fails_when_either_checker_is_dead(monkeypatch):
     monkeypatch.setattr(verify, "dense_relation_failure", lambda M: None)
     ok, detail = check_module_relations(4, 0)
     assert not ok
+    assert detail == "the dense oracle on B([12, 12]_L) with pi_1[0, 0] = 2 says None"
 
 
 def sparse_case(name: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
