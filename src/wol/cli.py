@@ -34,7 +34,7 @@ from .permutations import (
     parse_subset,
     weak_interval,
 )
-from .tableaux import family_class
+from .tableaux import FAMILY_MODULES, family_class
 
 USAGE_EXIT = 3
 
@@ -52,6 +52,23 @@ def parse_alpha(text: str) -> tuple[int, ...]:
     except ValueError:
         raise DomainError(f"not a composition: {text!r}") from None
     return validate_composition(parts)
+
+
+def parse_cells(text: str) -> frozenset[tuple[int, int]]:
+    """The cells of ``--cells``: a JSON list of distinct [column, row] pairs
+    of ints (not bools, floats or strings); anything else is a DomainError."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):
+        data = None
+    if not isinstance(data, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c) for c in data
+    ):
+        raise DomainError(f"--cells is not a JSON list of [column, row] pairs of ints: {text!r}")
+    cells = frozenset(map(tuple, data))
+    if len(cells) != len(data):
+        raise DomainError(f"--cells repeats a cell: {text!r}")
+    return cells
 
 
 def format_alpha(alpha) -> str:
@@ -104,8 +121,7 @@ def _build_parser():
     p.add_argument("--alpha")
 
     p = sub.add_parser("family", help="closed-form class summary of a module family")
-    p.add_argument("--kind", required=True,
-                   choices=("P", "F", "V", "X", "Shat", "Q", "RV", "RX", "RShat"))
+    p.add_argument("--kind", required=True, choices=FAMILY_MODULES)
     p.add_argument("--alpha", required=True)
 
     p = sub.add_parser("verify", help="run oracle sweeps")
@@ -226,11 +242,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hasse(args) -> int:
     if args.cells is not None:
-        try:
-            cells = frozenset(tuple(c) for c in json.loads(args.cells))
-        except (ValueError, TypeError):
-            raise DomainError(f"--cells is not a JSON list of cells: {args.cells!r}") from None
-        D = Diagram(cells)
+        D = Diagram(parse_cells(args.cells))
         tabs = enumerate_ST(D)
         lines = ["digraph hasse {"]
         words = [format_perm(reading(T, "TBLR")) for T in tabs]

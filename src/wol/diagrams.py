@@ -39,7 +39,6 @@ __all__ = [
     "is_free_upper_right",
     "free_violation",
     "diagram_to_json",
-    "filling_to_json",
 ]
 
 Cell = tuple[int, int]
@@ -506,13 +505,3 @@ def is_free_upper_right(D: Diagram) -> bool:
 
 def diagram_to_json(D: Diagram) -> str:
     return json.dumps({"n": D.n, "cells": [list(c) for c in sorted(D.cells)]})
-
-
-def filling_to_json(F: Filling) -> str:
-    return json.dumps(
-        {
-            "n": F.n,
-            "cells": [list(c) for c in sorted(F.diagram.cells)],
-            "entries": [list(e) for e in F.entries],
-        }
-    )

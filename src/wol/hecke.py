@@ -16,8 +16,7 @@ here holds at most two nonzeros, so a product costs O(dim^2), not the
 O(dim^3) of a dense one.
 
 No shell command but ``verify`` imports this module or numpy: the hull
-and cover formulas, which build no module, are in ``hulls``, and the
-module JSON, which no command reads or writes, is in ``module_json``.
+and cover formulas, which build no module, are in ``hulls``.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ class HeckeModule:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def pi_bar(self, i: int) -> np.ndarray:
-        """pi_i - 1, in int64 and so exact."""
-        return self.pis[i - 1] - np.eye(self.dim, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"HeckeModule(n={self.n}, dim={self.dim})"

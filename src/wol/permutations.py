@@ -301,10 +301,6 @@ class WeakInterval:
     def __contains__(self, g: Perm) -> bool:
         return weak_leq(self.lo, g, self.side) and weak_leq(g, self.hi, self.side)
 
-    def translate_right(self, i: int) -> "WeakInterval":
-        """The interval [lo s_i, hi s_i] (for left intervals)."""
-        return WeakInterval(self.side, mult_s_right(self.lo, i), mult_s_right(self.hi, i))
-
     def __str__(self) -> str:
         return f"[{format_perm(self.lo)}, {format_perm(self.hi)}]_{self.side}"
 

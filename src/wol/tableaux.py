@@ -52,8 +52,6 @@ __all__ = [
     "ClassSummary",
 ]
 
-FAMILIES = ("SRT", "SIT", "SET", "SPIT")
-
 
 def _tcd(alpha: Composition) -> Diagram:
     return diagram_of(alpha, "composition")

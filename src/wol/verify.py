@@ -12,8 +12,8 @@ predicate below it a row; each ``check_*`` name is that row, callable
 alone as ``check(nmax, seed)``.
 
 :func:`run_check` alone reads ``nmax``: it sweeps n up to the bound,
-stops at the first failure, fails a check that met no case, and ends a
-pass detail with what it swept, e.g. ``(1,899 cases, n = 1..5)``.
+stops at the first failure, fails a check that met no case or raised,
+and ends a pass detail with what it swept, e.g. ``(1,899 cases, n = 1..5)``.
 :func:`run_suite` runs a suite, or all, and builds each domain once per n.
 The CLI ``verify`` command and the acceptance tests call these.
 """
@@ -55,7 +55,6 @@ from .descent_diagrams import (
 )
 from .diagrams import (
     Diagram,
-    Filling,
     canonical_fill,
     diagram_of,
     enumerate_ST,
@@ -395,23 +394,28 @@ def row(
 
 def run_check(check: Check, nmax: int, seed: int, cases: dict | None = None) -> tuple[bool, str]:
     """(ok, detail) of one check.  ``cases`` holds the cases of each
-    (domain, n); ``run_suite`` shares one among its checks."""
+    (domain, n); ``run_suite`` shares one among its checks.  An exception
+    from a domain or a predicate fails the check with its type and
+    message, so that the rows after it still run."""
     cases = {} if cases is None else cases
     top = max(bound for _, bound, _ in check.parts)
     if not check.sample:
         top = min(nmax, top)
     count = 0
-    for n in range(check.nmin, top + 1):
-        for domain, bound, predicate in check.parts:
-            if n > bound:
-                continue
-            if (domain, n) not in cases:
-                cases[domain, n] = list(domain(n, seed))
-            for case in cases[domain, n]:
-                failure = predicate(*case)
-                if failure is not None:
-                    return False, failure
-                count += 1
+    try:
+        for n in range(check.nmin, top + 1):
+            for domain, bound, predicate in check.parts:
+                if n > bound:
+                    continue
+                if (domain, n) not in cases:
+                    cases[domain, n] = list(domain(n, seed))
+                for case in cases[domain, n]:
+                    failure = predicate(*case)
+                    if failure is not None:
+                        return False, failure
+                    count += 1
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
     if not count:
         return False, f"no cases for n <= {nmax}"
     return True, f"{check.passed} ({count:,} cases, n = {check.nmin}..{top})"
@@ -909,64 +913,45 @@ def check_twisted_translates(alpha: tuple[int, ...]) -> str | None:
             return f"R{kind}({alpha}) is not the w0-translate"
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    """Outcome of matching a class against the standard tableaux of a diagram."""
-
-    ok: bool
-    pairing: tuple[tuple[Filling, WeakInterval], ...]
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def class_tableau_bijection(C: EquivClass, D: Diagram) -> BijectionReport:
-    """Verify that T -> Sigma_L(P_{T^x}) is an order isomorphism from
-    (ST(D^x), <=) onto (C, <=), returning the explicit pairing.
+def class_tableau_bijection(C: EquivClass, D: Diagram) -> str | None:
+    """Why T -> Sigma_L(P_{T^x}) is not an order isomorphism from
+    (ST(D^x), <=) onto (C, <=), or None when it is.
 
     The pairwise order comparison tests inversion-set containment on
     masks computed once per tableau and member.
     """
     tabs = enumerate_ST(reflect(D, "x_axis"))
     if len(tabs) != C.size:
-        return BijectionReport(
-            False, (), f"|ST(D^x)| = {len(tabs)} but |C| = {C.size}"
-        )
-    member_set = {(J.lo, J.hi): J for J in C.members}
-    pairing = []
-    images = set()
+        return f"|ST(D^x)| = {len(tabs)} but |C| = {C.size}"
+    members = {(J.lo, J.hi) for J in C.members}
+    matched = {}  # (lo, hi) -> the image interval, in tableau order
     for T in tabs:
         J = sigma_L_interval(poset_of_filling(reflect(T, "x_axis")))
         key = (J.lo, J.hi)
-        if key not in member_set:
-            return BijectionReport(False, (), f"tableau maps outside the class: {J}")
-        if key in images:
-            return BijectionReport(False, (), f"two tableaux map to {J}")
-        images.add(key)
-        pairing.append((T, member_set[key]))
+        if key not in members:
+            return f"tableau maps outside the class: {J}"
+        if key in matched:
+            return f"two tableaux map to {J}"
+        matched[key] = J
+    images = list(matched.values())
     # T <= U in ST(D^x) iff readingTBLR(T) <=_L readingTBLR(U); the class
     # order compares lower endpoints on the right.
-    word_masks = [inv_mask(reading(T, "TBLR")) for T, _ in pairing]
-    lo_masks = [inv_mask(inverse(J.lo)) for _, J in pairing]
-    m = len(pairing)
-    for a in range(m):
-        for b in range(m):
+    word_masks = [inv_mask(reading(T, "TBLR")) for T in tabs]
+    lo_masks = [inv_mask(inverse(J.lo)) for J in images]
+    for a in range(len(tabs)):
+        for b in range(len(tabs)):
             st_le = word_masks[a] & ~word_masks[b] == 0
             cls_le = lo_masks[a] & ~lo_masks[b] == 0
             if st_le != cls_le:
-                return BijectionReport(
-                    False,
-                    tuple(pairing),
-                    f"order mismatch at {pairing[a][1]} vs {pairing[b][1]}",
-                )
-    return BijectionReport(True, tuple(pairing), "verified")
+                return f"order mismatch at {images[a]} vs {images[b]}"
+    return None
 
 
 def _upper_bijection(sigma: Perm, S: frozenset[int], D: Diagram) -> str | None:
     C = equiv_class(weak_interval(sigma, w1(S, len(sigma)), LEFT))
-    if not class_tableau_bijection(C, D):
-        return f"bijection fails for ({sigma}, {sorted(S)})"
+    failure = class_tableau_bijection(C, D)
+    if failure is not None:
+        return f"bijection fails for ({sigma}, {sorted(S)}): {failure}"
 
 
 @row("family", "tableau bijections", free_lower_intervals, 5,
@@ -974,8 +959,9 @@ def _upper_bijection(sigma: Perm, S: frozenset[int], D: Diagram) -> str | None:
      (free_upper_intervals, 5, _upper_bijection))
 def check_tableau_bijection_sweep(S: frozenset[int], rho: Perm, D: Diagram) -> str | None:
     C = equiv_class(weak_interval(longest_parabolic(S, len(rho)), rho, LEFT))
-    if not class_tableau_bijection(C, D):
-        return f"bijection fails for ({sorted(S)}, {rho})"
+    failure = class_tableau_bijection(C, D)
+    if failure is not None:
+        return f"bijection fails for ({sorted(S)}, {rho}): {failure}"
 
 
 def dense_relation_failure(M: hecke.HeckeModule) -> str | None:

@@ -183,7 +183,6 @@ def test_criterion_11_free_config_bijection():
             )
         )
         G = family_diagram("Q", (3, 2, 3, 1))
-        result = class_tableau_bijection(C, G)
-        ok = result.ok and C.size == 594
+        ok = class_tableau_bijection(C, G) is None and C.size == 594
         detail = f"{detail}; Q(3,2,3,1) bijection on 594 members"
     report(11, ok, detail)

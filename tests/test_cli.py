@@ -18,6 +18,20 @@ def capture(argv, capsys):
     return code, out.out, out.err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "call", json.loads((GOLDEN / "calls.json").read_text()), ids=lambda call: call["name"]
+)
+def test_golden_outputs(call, capsys):
+    """The README's example calls and ``verify --suite all --nmax 4`` print
+    what ``tests/golden`` holds: a change to an output edits its file."""
+    code, out, err = capture(call["argv"], capsys)
+    assert (code, err) == (call["exit"], call["stderr"])
+    assert out == (GOLDEN / f"{call['name']}.stdout").read_text()
+
+
 def test_diagram_golden_json(capsys):
     code, out, err = capture(
         ["diagram", "--S", "{2,5}", "--rho", "231564", "--format", "json"], capsys
@@ -152,6 +166,21 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+# Cell lists that are not a JSON list of distinct [column, row] pairs of ints.
+MALFORMED_CELLS = [
+    "[[1]]",
+    "[[1,1,1]]",
+    '{"a":1}',
+    "[[1e400,1]]",
+    "[[null,1]]",
+    "[[1.5,1]]",
+    "[[true,1]]",
+    '[["1",1]]',
+    "[[1,1],[1,1]]",
+    "[" * 2000,  # deeper than json.loads recurses
+]
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [
@@ -159,15 +188,18 @@ def test_domain_error_exit_code(capsys):
         (["family", "--kind", "Q", "--alpha", "(a,2)"], None),
         (["hasse", "--cells", "[[1,1"], None),
         (["class", "--lo", "132456", "--hi", "142563"], "abc"),
+        *((["hasse", "--cells", cells], None) for cells in MALFORMED_CELLS),
     ],
-    ids=["perm", "alpha", "cells", "nmax-override"],
+    ids=["perm", "alpha", "cells", "nmax-override", *(cells[:20] for cells in MALFORMED_CELLS)],
 )
 def test_malformed_input_is_domain_error(argv, env, capsys, monkeypatch):
     if env is not None:
         monkeypatch.setenv("WOL_NMAX_OVERRIDE", env)
     code, out, err = capture(argv, capsys)
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "domain"
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "domain" and error["message"]
 
 
 def test_resource_error_exit_code(capsys):

@@ -9,7 +9,6 @@ from wol.compositions import all_compositions, set_of
 from wol.descent_diagrams import family_diagram
 from wol.diagrams import (
     Diagram,
-    Filling,
     canonical_fill,
     count_ST,
     diagram_of,
@@ -17,7 +16,6 @@ from wol.diagrams import (
     enumerate_ST,
     fill_from_map,
     fill_ne,
-    filling_to_json,
     hecke_star,
     is_free_upper_right,
     is_standard_tableau,
@@ -244,11 +242,6 @@ def test_is_free_upper_right_examples():
 def test_json_roundtrips():
     data = json.loads(diagram_to_json(SIX_CELL))
     assert Diagram(frozenset(tuple(c) for c in data["cells"])) == SIX_CELL
-    F = canonical_fill(SIX_CELL, "down")
-    data = json.loads(filling_to_json(F))
-    assert data["n"] == F.n
-    rebuilt = Diagram(frozenset(tuple(c) for c in data["cells"]))
-    assert Filling(rebuilt, tuple(tuple(e) for e in data["entries"])) == F
     assert diagram_to_json(FREE_SIX) == (
         '{"n": 6, "cells": [[1, 1], [2, 1], [2, 2], [3, 2], [4, 2], [5, 1]]}'
     )

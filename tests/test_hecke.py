@@ -1,6 +1,5 @@
 """0-Hecke modules: constructions, relations, twists, hulls, and covers."""
 
-import json
 import re
 
 import numpy as np
@@ -23,7 +22,6 @@ from wol.hecke import (
     twist_theta_chi,
 )
 from wol.hulls import hull_or_cover, projective_decomposition
-from wol.module_json import module_from_json, module_to_json
 from wol.permutations import (
     LEFT,
     all_perms,
@@ -80,7 +78,7 @@ def test_bbar_is_signed_version():
     I = weak_interval(parse_perm("1324"), parse_perm("3421"), LEFT)
     M, Mbar = module_B(I), module_Bbar(I)
     for i in range(1, 4):
-        bar = Mbar.pi_bar(i)
+        bar = Mbar.pis[i - 1] - np.eye(Mbar.dim, dtype=np.int64)
         for col, g in enumerate(Mbar.basis):
             if i in descents(g, LEFT):
                 assert bar[col, col] == -1
@@ -259,18 +257,6 @@ def test_projective_decomposition_examples():
         projective_decomposition({2}, {1}, 4)
 
 
-def test_module_json():
-    I = weak_interval((1, 2, 3), (2, 1, 3), LEFT)
-    text = module_to_json(module_B(I))
-    assert text == '{"n": 3, "basis": ["123", "213"], "pi": [[[0, 0], [1, 1]], [[0, 0], [0, 0]]]}'
-    data = json.loads(text)
-    assert data["n"] == 3
-    assert data["basis"] == ["123", "213"]
-    assert len(data["pi"]) == 2
-    spit = json.loads(module_to_json(module_SPIT((2, 2))))
-    assert spit["basis"][0]["entries"]
-
-
 def test_relation_checker_detects_breakage():
     bad = HeckeModule(
         3,
@@ -300,7 +286,6 @@ def test_builders_store_int8_generators(name):
     assert M.dim > 1
     assert all(A.dtype == np.int8 for A in M.pis)
     assert all(set(np.unique(A)) <= {-1, 0, 1} for A in M.pis)
-    assert M.pi_bar(1).dtype == np.int64
 
 
 def test_relation_checker_refuses_a_wider_dtype():
@@ -330,18 +315,6 @@ def test_a_construction_that_leaves_int8_raises():
     edge = HeckeModule(2, ("a",), (np.array([[-128]], dtype=np.int8),))
     with pytest.raises(InternalError, match="the twist of pi_1 has an entry outside the int8 range"):
         twist_theta_chi(edge)
-
-
-@pytest.mark.parametrize("name", list(builder_modules()))
-def test_module_json_round_trip_keeps_dtype_and_text(name):
-    M = builder_modules()[name]
-    text = module_to_json(M)
-    back = module_from_json(text)
-    assert module_to_json(back) == text
-    assert back.basis == M.basis
-    for A, B in zip(back.pis, M.pis):
-        assert A.dtype == np.int8
-        assert np.array_equal(A, B)
 
 
 def test_relation_suite_fails_when_either_checker_is_dead(monkeypatch):
@@ -432,38 +405,6 @@ def test_relation_checker_counts_the_generators():
     M = HeckeModule(3, ("a",), (np.array([[1]], dtype=np.int8),))
     with pytest.raises(InternalError, match="expected 2 generators for n = 3, got 1"):
         check_relations(M)
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"n": 3, "basis": ["123"], "pi": [[[1]]]}, "n = 3 needs 2 generators, got 1"),
-        ({"n": 2, "basis": ["12"], "pi": [[[1]], [[1]], [[0]]]}, "n = 2 needs 1 generators, got 3"),
-        ({"n": 2, "basis": ["12", "21"], "pi": [[[1, 0, 0], [0, 1, 0]]]}, r"pi_1 has shape \(2, 3\)"),
-        ({"n": 2, "basis": ["12"], "pi": [[[1, 0], [0, 1]]]}, r"pi_1 has shape \(2, 2\), not 1 x 1"),
-        ({"n": 2, "basis": ["12", "21"], "pi": [[[1], [0, 1]]]}, "pi_1 is not a rectangular"),
-        ({"n": 2, "basis": ["12", "12"], "pi": [[[1, 0], [0, 1]]]}, "the basis repeats a label"),
-        ({"n": 0, "basis": ["1"], "pi": []}, "a module needs n >= 1, got n = 0"),
-        ({"n": 2, "basis": ["12"], "pi": [[[1.5]]]}, "pi_1 has the entry 1.5, not an integer"),
-        ({"n": 2, "basis": ["12"], "pi": [[[True]]]}, "pi_1 has the entry true, not an integer"),
-        ({"n": 2, "basis": ["12"], "pi": [[["1"]]]}, 'pi_1 has the entry "1", not an integer'),
-        (
-            {"n": 2, "basis": ["12"], "pi": [[[2**70]]]},
-            rf"pi_1 has the entry {2**70}, outside the int8 range -128\.\.127",
-        ),
-        (
-            {"n": 2, "basis": ["12", "21"], "pi": [[[1, 0], [128, 1]]]},
-            r"pi_1 has the entry 128, outside the int8 range -128\.\.127",
-        ),
-    ],
-    ids=[
-        "too few", "too many", "not square", "wrong size", "ragged", "repeated label", "n = 0",
-        "float", "bool", "string", "huge", "int8 edge",
-    ],
-)
-def test_module_from_json_rejects_malformed_generators(data, message):
-    with pytest.raises(DomainError, match=message):
-        module_from_json(json.dumps(data))
 
 
 def test_signed_intertwiner_rejects_a_pairing_that_is_not_a_bijection():

@@ -24,9 +24,7 @@ from wol.diagrams import (
     tableau_T,
 )
 from wol.errors import ResourceCapError
-from wol.hecke import module_B, module_SPIT
 from wol.hulls import hull_or_cover
-from wol.module_json import module_from_json, module_to_json
 from wol.permutations import (
     LEFT,
     parse_perm,
@@ -158,18 +156,6 @@ def test_class_oracle_samples_whole_s5():
 def test_descent_diagram_invariants_n5():
     ok, detail = check_descent_diagram_invariants(5, 0)
     assert ok, detail
-
-
-def test_module_json_roundtrip():
-    import numpy as np
-
-    M = module_B(weak_interval(parse_perm("1324"), parse_perm("3421"), LEFT))
-    back = module_from_json(module_to_json(M))
-    assert back.n == M.n and back.basis == M.basis
-    assert all(np.array_equal(a, b) for a, b in zip(back.pis, M.pis))
-    S = module_SPIT((2, 2))
-    back = module_from_json(module_to_json(S))
-    assert back.basis == S.basis
 
 
 def test_star_down_equals_right_of_star_sampled():

@@ -1,9 +1,12 @@
 """Import boundaries between wol modules: no private names cross modules,
-the brute-force oracles of ``wol.verify`` stay out of the library, and
-numpy stays in the modules that build Hecke matrices."""
+the brute-force oracles of ``wol.verify`` stay out of the library,
+numpy stays in the modules that build Hecke matrices, and every
+definition is used by the library, not only by its tests."""
 
 import ast
+import re
 from pathlib import Path
+from typing import Iterator
 
 import wol
 
@@ -106,4 +109,46 @@ def test_numpy_stays_in_the_matrix_modules():
         for node in ast.walk(tree)
         if any(module.split(".")[0] == "numpy" for module in imported_modules(node))
     }
-    assert sorted(importers) == ["hecke.py", "module_json.py", "verify.py"]
+    assert sorted(importers) == ["hecke.py", "verify.py"]
+
+
+def definitions(tree: ast.Module) -> Iterator[tuple[str, str, ast.AST]]:
+    """(label, name, node) of each module-level function, class and
+    UPPER_CASE constant, and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    yield target.id, target.id, node
+
+
+def test_every_definition_is_used_by_the_library():
+    """A name that only tests call is code no ``wol`` command needs: each
+    definition (verify's ``check_*`` rows, which ``SUITES`` runs, aside)
+    is read by name somewhere in ``src/wol`` outside its own body."""
+    modules = list(parsed_modules())  # kept alive, so that no node id is reused
+    uses: dict[str, set[int]] = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for module, tree in modules:
+        if module == "__init__.py":
+            continue
+        for label, name, node in definitions(tree):
+            if module == "verify.py" and name.startswith("check_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not uses.get(name, set()) - inside:
+                unused.append(f"{module[:-3]}.{label}")
+    assert unused == []

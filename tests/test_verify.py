@@ -3,6 +3,8 @@ case counts, first failures and the sharing of domains."""
 
 import re
 
+from wol import cli, verify
+
 from wol.verify import SUITES, Check, run_check, run_suite, symmetric_group
 
 ROW_NAMES = [
@@ -97,4 +99,35 @@ def test_tableau_bijections_count_only_the_free_diagrams():
     assert run_check(check, 5, 0) == (
         True,
         "free-diagram classes match their standard tableaux (542 cases, n = 1..5)",
+    )
+
+
+def test_a_row_that_raises_fails_alone(capsys, monkeypatch):
+    real = verify.equiv_class
+
+    def breaks_at_four(I, *args, **kwargs):
+        if I.n == 4:
+            raise IndexError("made-up failure")
+        return real(I, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "equiv_class", breaks_at_four)
+    code = cli.run(["verify", "--suite", "class", "--nmax", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split("  ")[:2] for line in lines[:-1]] == [
+        ["FAIL", "class:iso oracle"],
+        ["FAIL", "class:class structure"],
+        ["FAIL", "class:class census"],
+        ["PASS", "class:moves preserve descents"],
+    ]
+    assert all(line.endswith("  IndexError: made-up failure") for line in lines[:3])
+    assert lines[-1] == "1/4 checks passed"
+
+
+def test_tableau_bijection_failures_say_why(monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_ST", lambda D: [])
+    (check,) = [check for check in SUITES["family"] if check.name == "tableau bijections"]
+    assert run_check(check, 5, 0) == (
+        False,
+        "bijection fails for ([], (1,)): |ST(D^x)| = 0 but |C| = 1",
     )
