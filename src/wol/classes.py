@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import DomainError, InternalError, ResourceCapError, resolve_cap
+from .errors import DomainError, InternalError, cap_exceeded, resolve_cap
 from .permutations import (
     LEFT,
     Perm,
@@ -139,7 +139,7 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
 
     Raises ResourceCapError once the class passes ``cap`` members.
     """
-    cap = resolve_cap(cap, CLASS_CAP)
+    limit = resolve_cap(cap, CLASS_CAP)
     if I.side != LEFT:
         raise DomainError("equiv_class expects a left interval")
     xi = compose(I.hi, inverse(I.lo))
@@ -149,8 +149,8 @@ def equiv_class(I: WeakInterval, cap: int | None = None) -> EquivClass:
     found = []
     for lo, mask, covers in right_interval_bfs(bottom, top):
         # The class always has its first member, so a cap below 1 acts as 1.
-        if len(found) >= max(cap, 1):
-            raise ResourceCapError(f"class size exceeds cap {cap}", count=len(found))
+        if len(found) >= max(limit, 1):
+            raise cap_exceeded("class size", "count", limit, cap, len(found))
         if mask & xi_mask:
             raise InternalError(f"{format_perm(lo)} is not below xi times it in the class of {I}")
         found.append((lo, mask, covers))

@@ -11,12 +11,12 @@ rectangle has no empty row or column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .compositions import Composition, validate_composition
-from .errors import DomainError, ResourceCapError, ShapeError, resolve_cap
+from .errors import DomainError, ShapeError, cap_exceeded, resolve_cap
+from .frozen import Frozen
 from .permutations import Perm, validate_perm, weak_leq
 from .posets import Poset
 
@@ -46,15 +46,15 @@ Cell = tuple[int, int]
 ST_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Frozen):
     """A finite cell set with no empty row or column in its bounding box."""
 
-    cells: frozenset[Cell]
+    def _values(self) -> tuple:
+        return (self.cells,)
 
-    def __post_init__(self):
-        cells = frozenset((int(x), int(y)) for x, y in self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, cells: Iterable[Cell]):
+        cells = frozenset((int(x), int(y)) for x, y in cells)
+        self.__dict__["cells"] = cells
         if not cells:
             raise ShapeError("diagram must be nonempty")
         if any(x < 1 or y < 1 for x, y in cells):
@@ -95,16 +95,15 @@ def _normalized(cells: Iterable[Cell]) -> frozenset[Cell]:
     return frozenset((x - dx, y - dy) for x, y in cells)
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(Frozen):
     """A bijective assignment of 1..n to the cells of a diagram."""
 
-    diagram: Diagram
-    entries: tuple[tuple[int, int, int], ...]
+    def _values(self) -> tuple:
+        return (self.diagram, self.entries)
 
-    def __post_init__(self):
-        entries = tuple(sorted((int(x), int(y), int(v)) for x, y, v in self.entries))
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, diagram: Diagram, entries: Iterable[tuple[int, int, int]]):
+        entries = tuple(sorted((int(x), int(y), int(v)) for x, y, v in entries))
+        self.__dict__.update(diagram=diagram, entries=entries)
         cells = frozenset((x, y) for x, y, _ in entries)
         if cells != self.diagram.cells:
             raise ShapeError("entries do not cover the diagram cells exactly")
@@ -386,7 +385,7 @@ def enumerate_ST(D: Diagram, cap: int | None = None) -> tuple[Filling, ...]:
     at cells maximal among those not yet used.  Output in ascending TBLR
     reading order; raises ResourceCapError (with the partial count) past
     the cap."""
-    cap = resolve_cap(cap, ST_CAP)
+    limit = resolve_cap(cap, ST_CAP)
     cells = sorted(D.cells)
     results: list[dict[Cell, int]] = []
     assignment: dict[Cell, int] = {}
@@ -394,10 +393,8 @@ def enumerate_ST(D: Diagram, cap: int | None = None) -> tuple[Filling, ...]:
 
     def place(v: int) -> None:
         if v == 0:
-            if len(results) >= cap:
-                raise ResourceCapError(
-                    f"standard tableau count exceeds cap {cap}", count=len(results)
-                )
+            if len(results) >= limit:
+                raise cap_exceeded("standard tableau count", "count", limit, cap, len(results))
             results.append(dict(assignment))
             return
         for c in sorted(remaining):
@@ -422,7 +419,7 @@ def count_ST(D: Diagram, cap: int | None = None) -> int:
 
     The cap bounds the number of down-sets visited.
     """
-    cap = resolve_cap(cap, ST_CAP)
+    limit = resolve_cap(cap, ST_CAP)
     cells = sorted(D.cells)
     n = len(cells)
     preds = []
@@ -445,8 +442,8 @@ def count_ST(D: Diagram, cap: int | None = None) -> int:
                 T = S | bit
                 nxt[T] = nxt.get(T, 0) + ways
         counts.update(nxt)
-        if len(counts) > cap:
-            raise ResourceCapError(f"down-set count exceeds cap {cap}", count=len(counts))
+        if len(counts) > limit:
+            raise cap_exceeded("down-set count", "count", limit, cap, len(counts))
         frontier = set(nxt)
     return counts[(1 << n) - 1]
 

@@ -16,6 +16,7 @@ __all__ = [
     "InternalError",
     "ResourceCapError",
     "resolve_cap",
+    "cap_exceeded",
 ]
 
 
@@ -61,3 +62,12 @@ def resolve_cap(explicit: int | None, default: int) -> int:
         except ValueError:
             raise DomainError(f"WOL_NMAX_OVERRIDE must be an integer, got {override!r}") from None
     return default
+
+
+def cap_exceeded(what: str, kind: str, cap: int, explicit: int | None, count: int | None = None):
+    """The ResourceCapError for ``what`` past the ``kind`` cap (a count or
+    a ground-set size), naming how to raise it: the ``cap=`` argument or
+    ``--cap`` when the caller passed one, since that wins, else the
+    environment."""
+    how = "--cap (cap= in Python)" if explicit is not None else "WOL_NMAX_OVERRIDE"
+    return ResourceCapError(f"{what} exceeds the {kind} cap {cap}; raise it with {how}", count)

@@ -22,7 +22,6 @@ and cover formulas, which build no module, are in ``hulls``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .compositions import is_peak, validate_composition
 from .classes import dp_iso_find
 from .diagrams import Filling
 from .errors import DomainError, InternalError, ShapeError
+from .frozen import Frozen
 from .permutations import LEFT, Perm, WeakInterval, descents, mult_s_left
 from .posets import Poset, linear_extensions_L
 from .tableaux import enumerate_family
@@ -50,13 +50,15 @@ __all__ = [
 INT8 = np.iinfo(np.int8)
 
 
-@dataclass(frozen=True, eq=False)
-class HeckeModule:
-    """A finite-dimensional module given by its int8 pi-generator matrices."""
+class HeckeModule(Frozen):
+    """A finite-dimensional module given by its int8 pi-generator matrices,
+    equal only to itself."""
 
-    n: int
-    basis: tuple
-    pis: tuple[np.ndarray, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, basis: tuple, pis: tuple[np.ndarray, ...]):
+        self.__dict__.update(n=n, basis=basis, pis=pis)
 
     @property
     def dim(self) -> int:

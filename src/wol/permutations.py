@@ -16,12 +16,12 @@ to match the usual combinatorial conventions; only tuple indexing is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations as _itertools_permutations
 from typing import Iterable, Iterator, Literal
 
 from .errors import DomainError, OrderError
+from .frozen import Frozen
 
 __all__ = [
     "Perm",
@@ -251,8 +251,7 @@ def covers_up(u: Perm, side: Side) -> list[tuple[int, Perm]]:
     return [(i, mult(u, i)) for i in range(1, len(u)) if i not in ds]
 
 
-@dataclass(frozen=True)
-class WeakInterval:
+class WeakInterval(Frozen):
     """A nonempty weak Bruhat interval [lo, hi] with a side tag.
 
     The order relation lo <= hi is checked at construction, except by
@@ -260,19 +259,18 @@ class WeakInterval:
     sorted lexicographically by one-line notation.
     """
 
-    side: Side
-    lo: Perm
-    hi: Perm
+    def _values(self) -> tuple:
+        return (self.side, self.lo, self.hi)
 
-    def __post_init__(self):
-        _check_side(self.side)
-        validate_perm(self.lo)
-        validate_perm(self.hi)
-        if not weak_leq(self.lo, self.hi, self.side):
+    def __init__(self, side: Side, lo: Perm, hi: Perm):
+        _check_side(side)
+        validate_perm(lo)
+        validate_perm(hi)
+        if not weak_leq(lo, hi, side):
             raise OrderError(
-                f"{format_perm(self.lo)} is not below {format_perm(self.hi)} "
-                f"in the {self.side} weak order"
+                f"{format_perm(lo)} is not below {format_perm(hi)} in the {side} weak order"
             )
+        self.__dict__.update(side=side, lo=lo, hi=hi)
 
     @property
     def n(self) -> int:
@@ -298,8 +296,8 @@ class WeakInterval:
     def size(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: Perm) -> bool:
-        return weak_leq(self.lo, g, self.side) and weak_leq(g, self.hi, self.side)
+    def __repr__(self) -> str:
+        return f"WeakInterval(side={self.side!r}, lo={self.lo!r}, hi={self.hi!r})"
 
     def __str__(self) -> str:
         return f"[{format_perm(self.lo)}, {format_perm(self.hi)}]_{self.side}"

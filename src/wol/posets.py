@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import DomainError, OrderError, ResourceCapError, resolve_cap
+from .errors import DomainError, OrderError, cap_exceeded, resolve_cap
 from .permutations import (
     LEFT,
     Perm,
@@ -126,9 +126,9 @@ def linear_extensions_L(P: Poset, cap: int | None = None) -> tuple[Perm, ...]:
     (e_1, ..., e_n) yields sigma with sigma(e_k) = k.  Sorted output.
     The ground-set size is capped (default 9) against factorial blowup.
     """
-    cap = resolve_cap(cap, LINEAR_EXTENSION_N_CAP)
-    if P.n > cap:
-        raise ResourceCapError(f"linear extension ground set {P.n} exceeds cap {cap}")
+    limit = resolve_cap(cap, LINEAR_EXTENSION_N_CAP)
+    if P.n > limit:
+        raise cap_exceeded(f"linear extension ground set {P.n}", "ground-set size", limit, cap)
     n = P.n
     preds = [P._down_mask(j + 1) & ~(1 << j) for j in range(n)]
     out: list[Perm] = []

@@ -10,6 +10,9 @@ import pytest
 
 import wol
 from wol.cli import run
+from wol.diagrams import Diagram, count_ST, enumerate_ST
+from wol.errors import ResourceCapError
+from wol.posets import Poset, linear_extensions_L
 
 
 def capture(argv, capsys):
@@ -218,9 +221,36 @@ def test_class_cap_error_line(capsys):
     )
     assert (code, out) == (2, "")
     assert err == (
-        '{"error": "resource", "message": "class size exceeds cap 3", '
-        '"partial_count": 3}\n'
+        '{"error": "resource", "message": "class size exceeds the count cap 3; '
+        'raise it with --cap (cap= in Python)", "partial_count": 3}\n'
     )
+
+
+SQUARE = Diagram(frozenset((x, y) for x in range(1, 4) for y in range(1, 4)))
+EXPLICIT = "raise it with --cap (cap= in Python)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_ST(SQUARE, cap=3),
+         f"standard tableau count exceeds the count cap 3; {EXPLICIT}"),
+        (lambda: count_ST(SQUARE, cap=3), f"down-set count exceeds the count cap 3; {EXPLICIT}"),
+        (lambda: linear_extensions_L(Poset(4), cap=3),
+         f"linear extension ground set 4 exceeds the ground-set size cap 3; {EXPLICIT}"),
+        (lambda: linear_extensions_L(Poset(10)),
+         "linear extension ground set 10 exceeds the ground-set size cap 9; "
+         "raise it with WOL_NMAX_OVERRIDE"),
+    ],
+    ids=["tableaux", "down-sets", "ground-set-explicit", "ground-set-default"],
+)
+def test_cap_errors_say_how_to_raise_the_cap(call, message, monkeypatch):
+    """An explicit cap wins over the environment, so the error names the
+    cap argument when one was passed, and WOL_NMAX_OVERRIDE otherwise."""
+    monkeypatch.delenv("WOL_NMAX_OVERRIDE", raising=False)
+    with pytest.raises(ResourceCapError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_usage_error_exit_code(capsys):
@@ -303,11 +333,13 @@ from contextlib import redirect_stdout
 import wol, wol.cli
 with redirect_stdout(io.StringIO()):
     codes = [wol.cli.run(argv) for argv in {SHELL_COMMANDS!r}]
-print(codes, [name for name in ("numpy", "wol.hecke") if name in sys.modules])
+loaded = ("numpy", "wol.hecke", "dataclasses", "inspect")
+print(codes, [name for name in loaded if name in sys.modules])
 """
 
 
 def test_the_shell_commands_run_without_numpy():
+    """Nor do they load ``dataclasses`` and the ``inspect`` it imports."""
     assert fresh_interpreter(SHELL_PATH_PROBE) == f"{[0] * len(SHELL_COMMANDS)} []\n"
 
 

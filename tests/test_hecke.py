@@ -257,6 +257,17 @@ def test_projective_decomposition_examples():
         projective_decomposition({2}, {1}, 4)
 
 
+def test_modules_are_equal_only_to_themselves():
+    pis = (np.array([[1]], dtype=np.int8),)
+    a, b = HeckeModule(2, ("a",), pis), HeckeModule(2, ("a",), pis)
+    assert a == a and a != b and hash(a) == object.__hash__(a)
+    assert len({a, b}) == 2
+    with pytest.raises(AttributeError):
+        a.n = 3
+    with pytest.raises(AttributeError):
+        del a.basis
+
+
 def test_relation_checker_detects_breakage():
     bad = HeckeModule(
         3,

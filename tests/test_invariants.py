@@ -14,6 +14,8 @@ from wol.classes import equiv_class
 from wol.compositions import all_compositions, set_of
 from wol.descent_diagrams import build_D_S_rho, build_D_sigma_S, lower_minmax
 from wol.diagrams import (
+    Diagram,
+    Filling,
     canonical_fill,
     diagram_of,
     enumerate_ST,
@@ -23,10 +25,11 @@ from wol.diagrams import (
     reflect,
     tableau_T,
 )
-from wol.errors import ResourceCapError
+from wol.errors import OrderError, ResourceCapError
 from wol.hulls import hull_or_cover
 from wol.permutations import (
     LEFT,
+    WeakInterval,
     parse_perm,
     w1,
     weak_interval,
@@ -198,3 +201,54 @@ def test_record_properties():
     hull = RECORDS["HullCoverResult"]()
     assert hull.lower_set == hull.upper_set == frozenset({3})
     assert hull.is_projective_indecomposable is True
+
+
+# The value classes keep the behaviour of the frozen dataclasses they
+# replace; each entry is (build, field names, repr at that replacement).
+VALUES = {
+    "WeakInterval": (
+        lambda: WeakInterval(LEFT, parse_perm("132456"), parse_perm("142563")),
+        ("side", "lo", "hi"),
+        "WeakInterval(side='L', lo=(1, 3, 2, 4, 5, 6), hi=(1, 4, 2, 5, 6, 3))",
+    ),
+    "Diagram": (
+        lambda: Diagram(frozenset({(2, 1), (1, 1), (1, 2)})),
+        ("cells",),
+        "Diagram([(1, 1), (1, 2), (2, 1)])",
+    ),
+    "Filling": (
+        lambda: Filling(Diagram({(2, 1), (1, 1), (1, 2)}), ((1, 2, 1), (1, 1, 2), (2, 1, 3))),
+        ("diagram", "entries"),
+        "Filling([(1, 1, 2), (1, 2, 1), (2, 1, 3)])",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_classes_behave_as_frozen_dataclasses(name):
+    build, fields, text = VALUES[name]
+    a, b = build(), build()
+    values = tuple(getattr(a, field) for field in fields)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(values)
+    assert a != values and values != a and a.__eq__(values) is NotImplemented
+    for field in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b and repr(a) == text
+
+
+def test_unchecked_interval_equals_the_checked_one(monkeypatch):
+    lo, hi = parse_perm("132456"), parse_perm("142563")
+    I = WeakInterval.unchecked(LEFT, lo, hi)
+    assert I == WeakInterval(LEFT, lo, hi) and hash(I) == hash(WeakInterval(LEFT, lo, hi))
+    with pytest.raises(OrderError):
+        WeakInterval(LEFT, hi, lo)
+    assert WeakInterval.unchecked(LEFT, hi, lo).lo == hi
+    bfs = wol.permutations.right_interval_bfs
+    calls = []
+    monkeypatch.setattr(
+        wol.permutations, "right_interval_bfs", lambda *args: calls.append(args) or bfs(*args)
+    )
+    assert I.elements is I.elements and I.size == 4 and len(calls) == 1
