@@ -139,7 +139,12 @@ def _build_parser():
 
 def _cmd_class(args) -> int:
     I = weak_interval(parse_perm(args.lo), parse_perm(args.hi), LEFT)
-    C = equiv_class(I, cap=args.cap)
+    try:
+        C = equiv_class(I, cap=args.cap)
+    except ResourceCapError as exc:
+        if args.cap is not None:
+            exc.raise_with = "--cap"
+        raise
     if args.format == "json":
         print(class_to_json(C))
     elif args.format == "dot":

@@ -49,12 +49,9 @@ ST_CAP = 100_000
 class Diagram(Frozen):
     """A finite cell set with no empty row or column in its bounding box."""
 
-    def _values(self) -> tuple:
-        return (self.cells,)
-
     def __init__(self, cells: Iterable[Cell]):
         cells = frozenset((int(x), int(y)) for x, y in cells)
-        self.__dict__["cells"] = cells
+        self.__dict__.update(cells=cells, _key=(cells,))
         if not cells:
             raise ShapeError("diagram must be nonempty")
         if any(x < 1 or y < 1 for x, y in cells):
@@ -98,12 +95,9 @@ def _normalized(cells: Iterable[Cell]) -> frozenset[Cell]:
 class Filling(Frozen):
     """A bijective assignment of 1..n to the cells of a diagram."""
 
-    def _values(self) -> tuple:
-        return (self.diagram, self.entries)
-
     def __init__(self, diagram: Diagram, entries: Iterable[tuple[int, int, int]]):
         entries = tuple(sorted((int(x), int(y), int(v)) for x, y, v in entries))
-        self.__dict__.update(diagram=diagram, entries=entries)
+        self.__dict__.update(diagram=diagram, entries=entries, _key=(diagram, entries))
         cells = frozenset((x, y) for x, y, _ in entries)
         if cells != self.diagram.cells:
             raise ShapeError("entries do not cover the diagram cells exactly")

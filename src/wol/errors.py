@@ -39,12 +39,18 @@ class InternalError(RuntimeError):
 class ResourceCapError(RuntimeError):
     """An enumeration exceeded its cap.
 
-    ``count`` holds the partial count reached before giving up.
+    ``count`` holds the partial count reached before giving up, and
+    ``raise_with`` the way to raise the cap, which ends the message.
     """
 
-    def __init__(self, message: str, count: int | None = None):
+    def __init__(self, message: str, count: int | None = None, raise_with: str | None = None):
         super().__init__(message)
         self.count = count
+        self.raise_with = raise_with
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{text}; raise it with {self.raise_with}" if self.raise_with else text
 
 
 def resolve_cap(explicit: int | None, default: int) -> int:
@@ -66,8 +72,8 @@ def resolve_cap(explicit: int | None, default: int) -> int:
 
 def cap_exceeded(what: str, kind: str, cap: int, explicit: int | None, count: int | None = None):
     """The ResourceCapError for ``what`` past the ``kind`` cap (a count or
-    a ground-set size), naming how to raise it: the ``cap=`` argument or
-    ``--cap`` when the caller passed one, since that wins, else the
-    environment."""
-    how = "--cap (cap= in Python)" if explicit is not None else "WOL_NMAX_OVERRIDE"
-    return ResourceCapError(f"{what} exceeds the {kind} cap {cap}; raise it with {how}", count)
+    a ground-set size), naming how to raise it: the ``cap=`` argument when
+    the caller passed one, since that wins, else the environment.  The CLI
+    names its ``--cap`` flag in place of ``cap=``."""
+    how = "the cap= argument" if explicit is not None else "WOL_NMAX_OVERRIDE"
+    return ResourceCapError(f"{what} exceeds the {kind} cap {cap}", count, how)

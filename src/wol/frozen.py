@@ -4,16 +4,16 @@
 class Frozen:
     """Behaves as a frozen dataclass.  A subclass's ``__init__`` stores its
     fields in ``self.__dict__``, where ``cached_property`` also writes, and
-    its ``_values()`` returns them as a tuple: an instance equals one of its
-    own class with equal values, hashes as that tuple and takes no assignment."""
+    their tuple as ``_key``, built once: an instance equals one of its own
+    class with an equal key, hashes as that tuple and takes no assignment."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -259,9 +259,6 @@ class WeakInterval(Frozen):
     sorted lexicographically by one-line notation.
     """
 
-    def _values(self) -> tuple:
-        return (self.side, self.lo, self.hi)
-
     def __init__(self, side: Side, lo: Perm, hi: Perm):
         _check_side(side)
         validate_perm(lo)
@@ -270,7 +267,7 @@ class WeakInterval(Frozen):
             raise OrderError(
                 f"{format_perm(lo)} is not below {format_perm(hi)} in the {side} weak order"
             )
-        self.__dict__.update(side=side, lo=lo, hi=hi)
+        self.__dict__.update(side=side, lo=lo, hi=hi, _key=(side, lo, hi))
 
     @property
     def n(self) -> int:
@@ -280,7 +277,7 @@ class WeakInterval(Frozen):
     def unchecked(cls, side: Side, lo: Perm, hi: Perm) -> "WeakInterval":
         """[lo, hi] built without the checks of construction, for a caller that knows lo <= hi."""
         interval = object.__new__(cls)
-        interval.__dict__.update(side=side, lo=lo, hi=hi)
+        interval.__dict__.update(side=side, lo=lo, hi=hi, _key=(side, lo, hi))
         return interval
 
     @cached_property

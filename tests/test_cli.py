@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wol
+from wol.classes import equiv_class
 from wol.cli import run
 from wol.diagrams import Diagram, count_ST, enumerate_ST
 from wol.errors import ResourceCapError
@@ -222,17 +223,19 @@ def test_class_cap_error_line(capsys):
     assert (code, out) == (2, "")
     assert err == (
         '{"error": "resource", "message": "class size exceeds the count cap 3; '
-        'raise it with --cap (cap= in Python)", "partial_count": 3}\n'
+        'raise it with --cap", "partial_count": 3}\n'
     )
 
 
 SQUARE = Diagram(frozenset((x, y) for x in range(1, 4) for y in range(1, 4)))
-EXPLICIT = "raise it with --cap (cap= in Python)"
+EXPLICIT = "raise it with the cap= argument"
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: equiv_class(wol.weak_interval((1, 3, 2, 4, 5, 6), (1, 4, 2, 5, 6, 3), "L"), cap=3),
+         f"class size exceeds the count cap 3; {EXPLICIT}"),
         (lambda: enumerate_ST(SQUARE, cap=3),
          f"standard tableau count exceeds the count cap 3; {EXPLICIT}"),
         (lambda: count_ST(SQUARE, cap=3), f"down-set count exceeds the count cap 3; {EXPLICIT}"),
@@ -242,11 +245,12 @@ EXPLICIT = "raise it with --cap (cap= in Python)"
          "linear extension ground set 10 exceeds the ground-set size cap 9; "
          "raise it with WOL_NMAX_OVERRIDE"),
     ],
-    ids=["tableaux", "down-sets", "ground-set-explicit", "ground-set-default"],
+    ids=["class", "tableaux", "down-sets", "ground-set-explicit", "ground-set-default"],
 )
 def test_cap_errors_say_how_to_raise_the_cap(call, message, monkeypatch):
     """An explicit cap wins over the environment, so the error names the
-    cap argument when one was passed, and WOL_NMAX_OVERRIDE otherwise."""
+    cap argument when one was passed, and WOL_NMAX_OVERRIDE otherwise; only
+    the CLI's class command, which reads --cap, names that flag."""
     monkeypatch.delenv("WOL_NMAX_OVERRIDE", raising=False)
     with pytest.raises(ResourceCapError) as info:
         call()
